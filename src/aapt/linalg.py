@@ -12,6 +12,11 @@ nonzero when it exceeds ``max(rows, cols) * s_max * 1e-12``, unless the
 caller supplies a positive tolerance.  Certificates built on top of these
 routines keep the singular values around the cut so the decision can be
 audited afterwards.
+
+Null spaces are read from ``vh`` alone, so their SVD is thin whenever
+``rows >= cols`` (the thin ``vh`` is then the whole ``cols x cols`` factor)
+and full only for wide matrices.  A tall ``n^2 x d^2`` commutator matrix
+thus never builds an ``n^2 x n^2`` ``u`` only to discard it.
 """
 
 from __future__ import annotations
@@ -158,7 +163,7 @@ def rank_evidence(m, tol: float = 0.0) -> RankEvidence:
 
 
 def _svd_nullspace(m: np.ndarray, tol: float) -> tuple[RankEvidence, np.ndarray]:
-    _, s, vh = np.linalg.svd(m, full_matrices=True)
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     ev = _evidence(m.shape, s, tol)
     return ev, vh[ev.rank:].conj().T
 
@@ -169,6 +174,12 @@ def rank_and_nullspace(m, tol: float = 0.0) -> tuple[int, np.ndarray]:
     Returns ``(rank, basis)`` where the columns of ``basis`` span the null
     space of ``m``; ``rank + basis.shape[1] == m.shape[1]`` always holds.
     With ``tol=0`` the default cutoff rule applies.
+
+    The basis is read from ``vh`` only.  When ``rows >= cols`` the thin SVD
+    already returns all ``cols`` right singular vectors, so it is used and
+    no ``rows x rows`` ``u`` is formed; a wide matrix takes the full SVD,
+    since its null space also contains the ``cols - rows`` directions that
+    the thin ``vh`` leaves out.
     """
     m = as_operator(m)
     ev, basis = _svd_nullspace(m, tol)

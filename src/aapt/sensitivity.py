@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankEvidence, _svd_nullspace, as_operator, tensor, unvec, vec
+from .linalg import RankEvidence, _svd_nullspace, as_operator, tensor, unvec
 from .states import BipartiteState, swap_sides
 
 SIDES = ("A", "B")
@@ -119,18 +119,24 @@ def _oriented(state: BipartiteState, side: str) -> BipartiteState:
 
 
 def _commutator_matrix(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Matrix of M -> (M (x) 1) rho - rho (M (x) 1) over vectorized M."""
+    """Matrix of M -> (M (x) 1) rho - rho (M (x) 1) over vectorized M.
+
+    Column ``c * da + r`` is vec of the commutator with the matrix unit E_rc.
+    vec stacks columns, so a row index splits as ``(a', b', a, b)`` for the
+    commutator entry at row ``(a, b)``, column ``(a', b')``.  Both products
+    with ``E_rc (x) 1`` only move entries of rho, so they are placed by
+    slice assignment rather than multiplied out.
+    """
     da, db = dims
-    eye_b = np.eye(db, dtype=complex)
-    cols = []
-    # column order follows vec(M): index c * da + r holds M[r, c]
-    for c in range(da):
-        for r in range(da):
-            unit = np.zeros((da, da), dtype=complex)
-            unit[r, c] = 1.0
-            op = tensor(unit, eye_b)
-            cols.append(vec(op @ rho - rho @ op))
-    return np.column_stack(cols)
+    n = da * db
+    r4 = rho.reshape(da, db, da, db)  # (a, b, a', b')
+    k = np.zeros((da, db, da, db, da, da), dtype=complex)  # (a', b', a, b, c, r)
+    units = np.arange(da)
+    # (E_rc (x) 1) rho: nonzero where a == r, entry rho[(c, b), (a', b')]
+    k[:, :, units, :, :, units] = r4.transpose(2, 3, 1, 0)
+    # rho (E_rc (x) 1): nonzero where a' == c, entry rho[(a, b), (r, b')]
+    k[units, :, :, :, units, :] -= r4.transpose(3, 0, 1, 2)
+    return k.reshape(n * n, da * da)
 
 
 def commutant_basis(state: BipartiteState, side: str = "A", tol: float = 0.0) -> CommutantBasis:

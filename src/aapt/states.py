@@ -1,8 +1,8 @@
 """Bipartite density matrices and the probe state families used throughout.
 
 A :class:`BipartiteState` is a density matrix on A (x) B together with the
-two subsystem dimensions.  Construction validates positivity and unit trace,
-so every instance in circulation is a physical state.
+two subsystem dimensions.  Construction validates finiteness, positivity and
+unit trace, so every instance in circulation is a physical state.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ class BipartiteState:
         n = self.dim_a * self.dim_b
         if m.shape != (n, n):
             raise ValueError(f"matrix of shape {m.shape} does not fit dimensions {self.dim_a} x {self.dim_b}")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("state matrix has non-finite entries (NaN or inf)")
         if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(m)):
             raise ValueError("state matrix is not Hermitian")
         eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
@@ -89,6 +91,8 @@ def random_state(dim_a: int, dim_b: int, rank: int | None = None, seed=0) -> Bip
 
 
 def _check_density(m: np.ndarray, label: str) -> np.ndarray:
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{label} has non-finite entries (NaN or inf)")
     if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(m)):
         raise ValueError(f"{label} is not Hermitian")
     eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)

@@ -225,6 +225,13 @@ class TestStateBasics:
         with pytest.raises(ValueError):
             BipartiteState(np.eye(4) / 4, 2, 3)  # dims mismatch
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.25, np.nan)])
+    def test_non_finite_states_rejected(self, bad):
+        m = np.diag([0.0, 1 / 3, 1 / 3, 1 / 3]).astype(complex)
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="state matrix has non-finite entries"):
+            BipartiteState(m, 2, 2)
+
     def test_swap_is_an_involution(self):
         state = random_state(2, 3, seed=38)
         assert np.allclose(swap_sides(swap_sides(state)).matrix, state.matrix, atol=0)

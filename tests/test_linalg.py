@@ -113,6 +113,17 @@ class TestRankAndNullspace:
         for i in range(basis.shape[1]):
             assert np.linalg.norm(m @ basis[:, i]) <= 10 * ev.tol
 
+    def test_wide_matrix_null_space(self):
+        # a wide matrix needs the full SVD: the thin vh has only `rows` rows
+        m = random_complex((3, 2), 13) @ random_complex((2, 5), 14)
+        ev = rank_evidence(m)
+        rank, basis = rank_and_nullspace(m)
+        assert rank == 2
+        assert basis.shape == (5, 3)
+        assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-12)
+        for i in range(basis.shape[1]):
+            assert np.linalg.norm(m @ basis[:, i]) <= 10 * ev.tol
+
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             rank_and_nullspace(np.eye(2), tol=-1.0)

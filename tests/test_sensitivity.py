@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,14 @@ from aapt import (
     pcq_residual,
     product_state,
     random_density,
+    random_state,
     schur_channel,
     apply_on_A,
     tensor,
     unitary_faithful_state,
     vec,
 )
+from aapt.sensitivity import _commutator_matrix
 
 
 def commutator_nullity_oracle(state):
@@ -35,6 +39,25 @@ def commutator_nullity_oracle(state):
             rows.append((big @ state.matrix - state.matrix @ big).reshape(-1))
     k = np.array(rows).T
     return da * da - np.linalg.matrix_rank(k, tol=1e-10)
+
+
+def commutator_matrix_by_definition(rho, da, db):
+    """Column c * da + r is vec((E_rc (x) 1) rho - rho (E_rc (x) 1)), one dense product per unit."""
+    cols = []
+    for c in range(da):
+        for r in range(da):
+            unit = np.zeros((da, da), dtype=complex)
+            unit[r, c] = 1
+            big = np.kron(unit, np.eye(db))
+            cols.append(vec(big @ rho - rho @ big))
+    return np.column_stack(cols)
+
+
+class TestCommutatorMatrix:
+    @pytest.mark.parametrize("da, db", [(1, 3), (3, 1), (2, 2), (2, 5), (5, 2), (3, 4), (6, 6)])
+    def test_matches_the_per_column_definition(self, da, db):
+        rho = random_state(da, db, seed=10 * da + db).matrix
+        assert np.array_equal(_commutator_matrix(rho, (da, db)), commutator_matrix_by_definition(rho, da, db))
 
 
 class TestCommutantBasis:
@@ -99,6 +122,18 @@ class TestCertifySensitive:
     def test_invalid_channel_class_rejected(self):
         with pytest.raises(ValueError):
             certify_sensitive(max_entangled(2), channel_class="dephasing")
+
+    def test_d8_certificate_allocates_no_square_of_the_commutator_rows(self):
+        # an n^2 x n^2 complex array at n = 64 alone takes 256 MiB
+        state = random_state(8, 8, seed=3)
+        tracemalloc.start()
+        try:
+            cert = certify_sensitive(state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cert.nullity == 1
+        assert peak < 64 * 10**6, f"traced peak {peak / 1e6:.1f} MB"
 
     def test_class_equivalence_on_corpus(self, corpus):
         for name, state in corpus:
@@ -195,6 +230,11 @@ class TestStateFamilies:
             cq_state([0.6, 0.6], [sigma, sigma])
         with pytest.raises(ValueError):
             cq_state([1.2, -0.2], [sigma, sigma])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_b_states_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"sigma\[0\] has non-finite entries"):
+            cq_state([0.5, 0.5], [np.diag([bad, 1.0]), np.eye(2) / 2])
 
     def test_unitary_faithful_state_marginal_b_is_maximally_mixed(self):
         state = unitary_faithful_state([0.5, 0.3, 0.2])
