@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, as_operator, haar_unitary, partial_trace, tensor, unvec, vec
+from .linalg import _rng, act_on_first, as_operator, haar_unitary, partial_trace, read_only, unvec, vec
 from .states import BipartiteState, swap_sides
 
 _KINDS = ("kraus", "choi", "transfer")
@@ -94,7 +94,12 @@ def choi_to_kraus(c, dim_in: int, dim_out: int, tol: float = 0.0) -> tuple[np.nd
 
 
 class Channel:
-    """A completely positive map with lazily converted representations."""
+    """A completely positive map held in the one representation it was built from.
+
+    The other representations are converted on every call and nothing is
+    cached: ``kraus()`` on a Choi-form channel runs an eigendecomposition
+    each time, and so does every ``apply_on_A`` / ``apply_on_B`` with it.
+    """
 
     __slots__ = ("kind", "dim_in", "dim_out", "_data")
 
@@ -109,12 +114,7 @@ class Channel:
                 raise ValueError("need at least one Kraus operator")
             if any(k.shape != (dim_out, dim_in) for k in ops):
                 raise ValueError(f"every Kraus operator must have shape ({dim_out}, {dim_in})")
-            frozen = []
-            for k in ops:
-                k = k.copy()
-                k.setflags(write=False)
-                frozen.append(k)
-            data = tuple(frozen)
+            data = tuple(read_only(k) for k in ops)
         else:
             m = as_operator(data)
             expected = (
@@ -124,8 +124,7 @@ class Channel:
             )
             if m.shape != expected:
                 raise ValueError(f"{kind} matrix must have shape {expected}, got {m.shape}")
-            data = m.copy()
-            data.setflags(write=False)
+            data = read_only(m)
         self.kind = kind
         self.dim_in = dim_in
         self.dim_out = dim_out
@@ -247,12 +246,7 @@ def _apply_first_factor(channel: Channel, state: BipartiteState) -> BipartiteSta
             f"channel must map the {da}-dimensional subsystem to itself, "
             f"got {channel.dim_in} -> {channel.dim_out}"
         )
-    eye_b = np.eye(db, dtype=complex)
-    out = np.zeros_like(state.matrix)
-    for k in channel.kraus():
-        big = tensor(k, eye_b)
-        out += big @ state.matrix @ big.conj().T
-    return BipartiteState(out, da, db)
+    return BipartiteState(act_on_first(channel.kraus(), state.matrix, state.dims), da, db)
 
 
 def apply_on_A(channel: Channel, state: BipartiteState) -> BipartiteState:

@@ -101,6 +101,13 @@ def _emit(doc: documents.MatrixDocument, out: Path | None) -> None:
         print(out)
 
 
+def _save_pair(paths: list[Path], k0, k1, shared: dict[str, str]) -> int:
+    for path, channel, role in ((paths[0], k0, "k0"), (paths[1], k1, "k1")):
+        documents.save(documents.channel_document(channel, {**shared, "role": role}), path)
+        print(path)
+    return EXIT_OK
+
+
 def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
@@ -161,14 +168,13 @@ def _cmd_certify(args) -> int:
     if args.mode == "faithful":
         cert = certify_faithful(state, args.side, args.tol)
         verdict = cert.faithful
-        gap_ratio = cert.gap_ratio
         doc = documents.faithfulness_document(cert)
     else:
         cert = certify_sensitive(state, args.side, args.channel_class, args.tol)
         verdict = cert.sensitive
-        gap_ratio = cert.gap_ratio
         doc = documents.sensitivity_document(cert, state.dims)
     _emit(doc, args.out)
+    gap_ratio = cert.gap_ratio
     if gap_ratio < AMBIGUOUS_GAP_RATIO:
         print(
             f"ambiguous rank decision: gap ratio {gap_ratio:.3g} < {AMBIGUOUS_GAP_RATIO:g}; "
@@ -192,10 +198,7 @@ def _cmd_witness(args) -> int:
         "output_gap": documents.format_number(pair.output_gap),
         "channel_gap": documents.format_number(pair.channel_gap),
     }
-    for path, channel, role in ((args.out[0], pair.k0, "k0"), (args.out[1], pair.k1, "k1")):
-        documents.save(documents.channel_document(channel, {**shared, "role": role}), path)
-        print(path)
-    return EXIT_OK
+    return _save_pair(args.out, pair.k0, pair.k1, shared)
 
 
 def _cmd_reconstruct(args) -> int:
@@ -214,15 +217,10 @@ def _cmd_reconstruct(args) -> int:
         meta = {"side": args.side, **meta_extra}
         if len(reports) > 1:
             meta["trial"] = str(index)
-        doc = documents.report_document(report, meta)
-        if args.out is None:
-            sys.stdout.write(documents.dumps(doc))
-        else:
-            path = args.out
-            if len(reports) > 1:
-                path = path.with_name(f"{path.stem}.{index:03d}{path.suffix}")
-            documents.save(doc, path)
-            print(path)
+        path = args.out
+        if path is not None and len(reports) > 1:
+            path = path.with_name(f"{path.stem}.{index:03d}{path.suffix}")
+        _emit(documents.report_document(report, meta), path)
     return EXIT_OK
 
 
@@ -230,11 +228,7 @@ def _cmd_decompose(args) -> int:
     t = documents.document_to_transfer(documents.load(args.transfer))
     hp = HermitianPreservingMap(t, trace_annihilating=True)
     alpha, k0, k1 = decompose_channel_difference(hp)
-    shared = {"cptp": "true", "alpha": documents.format_number(alpha)}
-    for path, channel, role in ((args.out[0], k0, "k0"), (args.out[1], k1, "k1")):
-        documents.save(documents.channel_document(channel, {**shared, "role": role}), path)
-        print(path)
-    return EXIT_OK
+    return _save_pair(args.out, k0, k1, {"cptp": "true", "alpha": documents.format_number(alpha)})
 
 
 _COMMANDS = {

@@ -25,6 +25,7 @@ import numpy as np
 
 from .channels import Channel, classify
 from .duality import FaithfulnessCertificate, TransferMatrix
+from .linalg import read_only
 from .reconstruct import ReconstructionReport
 from .sensitivity import SensitivityCertificate
 from .states import BipartiteState
@@ -53,10 +54,8 @@ class MatrixDocument:
         if not np.all(np.isfinite(data)):
             raise ValueError("data must be finite")
         meta = {str(k): str(v) for k, v in self.meta.items()}
-        frozen = data.copy()
-        frozen.setflags(write=False)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", frozen)
+        object.__setattr__(self, "data", read_only(data))
         object.__setattr__(self, "meta", meta)
 
 
@@ -66,6 +65,10 @@ def format_number(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("documents store finite numbers only")
     return format(x, ".17g")
+
+
+def _format_gap(ratio: float) -> str:
+    return str(ratio) if math.isinf(ratio) else format_number(ratio)
 
 
 def _encode_data(arr: np.ndarray) -> str:
@@ -190,7 +193,7 @@ def faithfulness_document(cert: FaithfulnessCertificate, meta: dict[str, str] | 
         "rank": str(cert.rank),
         "required_rank": str(cert.required_rank),
         "tol": format_number(cert.tol),
-        "gap_ratio": str(cert.gap_ratio) if math.isinf(cert.gap_ratio) else format_number(cert.gap_ratio),
+        "gap_ratio": _format_gap(cert.gap_ratio),
         "restricted_dims": f"{cert.dims[0]}x{cert.dims[1]}",
         "evidence": "singular_gap",
         **(meta or {}),
@@ -206,7 +209,7 @@ def sensitivity_document(cert: SensitivityCertificate, dims: tuple[int, int], me
         "channel_class": cert.channel_class,
         "nullity": str(cert.nullity),
         "tol": format_number(cert.tol),
-        "gap_ratio": str(cert.gap_ratio) if math.isinf(cert.gap_ratio) else format_number(cert.gap_ratio),
+        "gap_ratio": _format_gap(cert.gap_ratio),
         **(meta or {}),
     }
     if cert.pcq_measurement is not None:

@@ -26,17 +26,18 @@ import numpy as np
 from .channels import choi_to_transfer, transfer_to_choi
 from .linalg import (
     as_operator,
+    gap_ratio,
     hermitian_basis,
     hs_inner,
     rank_evidence,
+    read_only,
     tensor,
     unvec,
     vec,
 )
-from .states import BipartiteState
+from .states import BipartiteState, orient
 
 DIRECTIONS = ("a_to_b", "b_to_a")
-SIDES = ("A", "B")
 SUPPORT_TOL = 1e-12
 
 
@@ -55,9 +56,7 @@ class TransferMatrix:
         expected = (self.dim_out * self.dim_out, self.dim_in * self.dim_in)
         if m.shape != expected:
             raise ValueError(f"transfer matrix must have shape {expected}, got {m.shape}")
-        frozen = m.copy()
-        frozen.setflags(write=False)
-        object.__setattr__(self, "matrix", frozen)
+        object.__setattr__(self, "matrix", read_only(m))
 
     def apply(self, m) -> np.ndarray:
         """Act on a single operator."""
@@ -158,9 +157,7 @@ class FaithfulnessCertificate:
 
     @property
     def gap_ratio(self) -> float:
-        if self.largest_dropped <= 0.0:
-            return float("inf")
-        return self.smallest_kept / self.largest_dropped
+        return gap_ratio(self.smallest_kept, self.largest_dropped)
 
 
 def certify_faithful(state: BipartiteState, side: str = "A", tol: float = 0.0) -> FaithfulnessCertificate:
@@ -171,13 +168,10 @@ def certify_faithful(state: BipartiteState, side: str = "A", tol: float = 0.0) -
     is full column rank |A|^2 of the A -> B map, equivalently full row rank
     of the B -> A direction.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
     restricted = restrict_support(state)
-    direction = "a_to_b" if side == "A" else "b_to_a"
-    j = state_to_map(restricted, direction)
-    ev = rank_evidence(j.matrix, tol)
-    required = (restricted.dim_a if side == "A" else restricted.dim_b) ** 2
+    work = orient(restricted, side)
+    ev = rank_evidence(state_to_map(work).matrix, tol)
+    required = work.dim_a**2
     return FaithfulnessCertificate(
         faithful=ev.rank == required,
         side=side,
@@ -191,6 +185,22 @@ def certify_faithful(state: BipartiteState, side: str = "A", tol: float = 0.0) -
     )
 
 
+def hermitian_coordinates(t: TransferMatrix) -> np.ndarray:
+    """Real matrix of a map in the Gell-Mann bases of its input and output spaces.
+
+    Column ``j`` holds the output-basis coordinates of the map applied to
+    input basis element ``j`` (see :func:`aapt.linalg.hermitian_basis`).
+    Only real parts are kept, which is exact for a Hermitian-preserving map.
+    """
+    basis_in = hermitian_basis(t.dim_in)
+    basis_out = hermitian_basis(t.dim_out)
+    coeffs = np.empty((len(basis_out), len(basis_in)))
+    for j, b_in in enumerate(basis_in):
+        image = t.apply(b_in)
+        coeffs[:, j] = [hs_inner(b_out, image).real for b_out in basis_out]
+    return coeffs
+
+
 def hermitian_restricted_rank(t: TransferMatrix, tol: float = 0.0) -> int:
     """Real rank of a map restricted to Hermitian operators.
 
@@ -199,10 +209,4 @@ def hermitian_restricted_rank(t: TransferMatrix, tol: float = 0.0) -> int:
     matrix is real and its real rank equals the complex rank of the full
     transfer matrix.
     """
-    basis_in = hermitian_basis(t.dim_in)
-    basis_out = hermitian_basis(t.dim_out)
-    coeffs = np.empty((len(basis_out), len(basis_in)))
-    for j, b_in in enumerate(basis_in):
-        image = t.apply(b_in)
-        coeffs[:, j] = [hs_inner(b_out, image).real for b_out in basis_out]
-    return rank_evidence(coeffs, tol).rank
+    return rank_evidence(hermitian_coordinates(t), tol).rank

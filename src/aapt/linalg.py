@@ -76,6 +76,28 @@ def hs_inner(a, b) -> complex:
     return complex(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
 
 
+def read_only(m: np.ndarray) -> np.ndarray:
+    """A write-protected copy of ``m``, for arrays held by frozen objects."""
+    frozen = m.copy()
+    frozen.setflags(write=False)
+    return frozen
+
+
+def act_on_first(ops, m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """sum_k (K_k (x) 1_B) m (K_k (x) 1_B)^dag for operators K_k on the first factor.
+
+    Each ``K_k (x) 1_B`` is built densely and multiplied out.  A reshape and
+    ``einsum`` kernel computes the same sum with other rounding, which moves
+    serialized documents in their last digits.
+    """
+    eye_b = np.eye(dims[1], dtype=complex)
+    out = np.zeros_like(m)
+    for k in ops:
+        big = tensor(k, eye_b)
+        out += big @ m @ big.conj().T
+    return out
+
+
 def _split(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     da, db = int(dims[0]), int(dims[1])
     if da < 1 or db < 1:
@@ -128,9 +150,14 @@ class RankEvidence(NamedTuple):
 
     @property
     def gap_ratio(self) -> float:
-        if self.largest_dropped <= 0.0:
-            return math.inf
-        return self.smallest_kept / self.largest_dropped
+        return gap_ratio(self.smallest_kept, self.largest_dropped)
+
+
+def gap_ratio(smallest_kept: float, largest_dropped: float) -> float:
+    """Ratio of the singular values either side of a rank cut (inf when nothing was dropped)."""
+    if largest_dropped <= 0.0:
+        return math.inf
+    return smallest_kept / largest_dropped
 
 
 def default_rank_tol(shape: tuple[int, int], s_max: float) -> float:

@@ -21,10 +21,8 @@ import numpy as np
 
 from .channels import Channel, apply_on_A, apply_on_B
 from .duality import state_to_map
-from .linalg import _rng, partial_trace, pseudo_inverse
-from .states import BipartiteState, swap_sides
-
-SIDES = ("A", "B")
+from .linalg import _evidence, partial_trace, pseudo_inverse
+from .states import BipartiteState, orient
 
 
 class NotFaithfulProbeError(ValueError):
@@ -64,39 +62,40 @@ def reconstruct_channel(
     the image of the probe under a channel, the recovery is exact up to
     floating point.
     """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    probe_w = orient(probe, side)
     if probe.dims != output.dims:
         raise ValueError(f"probe dims {probe.dims} and output dims {output.dims} differ")
-    probe_w = probe if side == "A" else swap_sides(probe)
-    output_w = output if side == "A" else swap_sides(output)
-    d = probe_w.dim_a
-    j_in = state_to_map(probe_w, "b_to_a")
-    s = np.linalg.svd(j_in.matrix, compute_uv=False)
-    required = d * d
-    cutoff = tol if tol > 0 else max(j_in.matrix.shape) * float(s[0]) * 1e-12
-    rank = int((s > cutoff).sum())
+    inverse, condition = _invert_probe(probe_w, side, tol)
+    return _recover(orient(output, side), inverse, condition, None if truth is None else truth.choi())
+
+
+def _invert_probe(probe_w: BipartiteState, side: str, tol: float) -> tuple[np.ndarray, float]:
+    """Right pseudo-inverse of the oriented probe's B -> A map, and its condition number."""
+    j_in = state_to_map(probe_w, "b_to_a").matrix
+    s = np.linalg.svd(j_in, compute_uv=False)
+    rank = _evidence(j_in.shape, s, tol).rank
+    required = probe_w.dim_a**2
     if rank < required:
         raise NotFaithfulProbeError(
             f"probe is not faithful on {side} (map rank {rank} < {required}); reconstruction refused"
         )
-    condition = float(s[0] / s[required - 1])
-    j_out = state_to_map(output_w, "b_to_a")
-    t = j_out.matrix @ pseudo_inverse(j_in.matrix, tol)
-    channel = Channel.from_transfer(t, d, d)
+    return pseudo_inverse(j_in, tol), float(s[0] / s[required - 1])
+
+
+def _recover(
+    output_w: BipartiteState, inverse: np.ndarray, condition: float, truth_choi: np.ndarray | None
+) -> ReconstructionReport:
+    """Report for the channel that maps the probe's B -> A map to the oriented output's."""
+    d = output_w.dim_a
+    channel = Channel.from_transfer(state_to_map(output_w, "b_to_a").matrix @ inverse, d, d)
     choi = channel.choi()
-    choi = (choi + choi.conj().T) / 2
-    cp_deviation = max(0.0, -float(np.linalg.eigvalsh(choi)[0]))
-    tp_deviation = float(np.linalg.norm(partial_trace(choi, (d, d), "B") - np.eye(d)))
-    choi_error = None
-    if truth is not None:
-        choi_error = float(np.linalg.norm(channel.choi() - truth.choi()))
+    hermitian = (choi + choi.conj().T) / 2
     return ReconstructionReport(
         channel=channel,
         condition=condition,
-        cp_deviation=cp_deviation,
-        tp_deviation=tp_deviation,
-        choi_error=choi_error,
+        cp_deviation=max(0.0, -float(np.linalg.eigvalsh(hermitian)[0])),
+        tp_deviation=float(np.linalg.norm(partial_trace(hermitian, (d, d), "B") - np.eye(d))),
+        choi_error=None if truth_choi is None else float(np.linalg.norm(choi - truth_choi)),
     )
 
 
@@ -132,17 +131,23 @@ def noise_stress(
     Each trial perturbs the true output by a random traceless Hermitian
     matrix of Frobenius norm ``noise`` (re-projected to a valid state) and
     reconstructs; ``noise=0`` reduces to the exact setting.  Trials use
-    seeds spawned per index, so the report list is deterministic.
+    seeds spawned per index, so the report list is deterministic.  The probe
+    is inverted, and ``truth`` converted to its Choi matrix, once for all
+    trials.  A 1x1 state has no traceless perturbation, so it takes only
+    ``noise=0``.
     """
     if noise < 0:
         raise ValueError("noise must be nonnegative")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if noise > 0 and probe.matrix.shape[0] == 1:
+        raise ValueError("noise must be 0 for a 1x1 state, which has no traceless perturbation")
+    probe_w = orient(probe, side)
     base = apply_on_A(truth, probe) if side == "A" else apply_on_B(truth, probe)
-    children = np.random.SeedSequence(seed).spawn(trials)
+    inverse, condition = _invert_probe(probe_w, side, tol)
+    truth_choi = truth.choi()
     reports = []
-    for child in children:
-        g = np.random.default_rng(child)
-        perturbed = base if noise == 0 else _perturb(base, noise, g)
-        reports.append(reconstruct_channel(probe, perturbed, side, tol, truth=truth))
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        perturbed = base if noise == 0 else _perturb(base, noise, np.random.default_rng(child))
+        reports.append(_recover(orient(perturbed, side), inverse, condition, truth_choi))
     return reports

@@ -23,10 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankEvidence, _svd_nullspace, as_operator, tensor, unvec
-from .states import BipartiteState, swap_sides
+from .linalg import RankEvidence, _svd_nullspace, act_on_first, as_operator, gap_ratio, read_only, unvec
+from .states import BipartiteState, orient
 
-SIDES = ("A", "B")
 CHANNEL_CLASSES = ("unitary", "unital")
 PCQ_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
@@ -76,12 +75,7 @@ class ProjectiveMeasurement:
             for q in ops[i + 1 :]:
                 if np.linalg.norm(p @ q) > PROJECTOR_TOL:
                     raise ValueError("projectors must be mutually orthogonal")
-        frozen = []
-        for p in ops:
-            p = p.copy()
-            p.setflags(write=False)
-            frozen.append(p)
-        object.__setattr__(self, "projectors", tuple(frozen))
+        object.__setattr__(self, "projectors", tuple(read_only(p) for p in ops))
 
     def __len__(self) -> int:
         return len(self.projectors)
@@ -107,15 +101,7 @@ class SensitivityCertificate:
 
     @property
     def gap_ratio(self) -> float:
-        if self.largest_dropped <= 0.0:
-            return float("inf")
-        return self.smallest_kept / self.largest_dropped
-
-
-def _oriented(state: BipartiteState, side: str) -> BipartiteState:
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    return state if side == "A" else swap_sides(state)
+        return gap_ratio(self.smallest_kept, self.largest_dropped)
 
 
 def _commutator_matrix(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -141,7 +127,7 @@ def _commutator_matrix(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
 def commutant_basis(state: BipartiteState, side: str = "A", tol: float = 0.0) -> CommutantBasis:
     """Null space of the local commutator map, as operators on the chosen side."""
-    work = _oriented(state, side)
+    work = orient(state, side)
     k = _commutator_matrix(work.matrix, work.dims)
     ev, null_vectors = _svd_nullspace(k, tol)
     d = work.dim_a
@@ -197,21 +183,15 @@ def pcq_residual(state: BipartiteState, measurement: ProjectiveMeasurement, side
     Zero means the measurement observes the chosen side without perturbing
     the state at all.
     """
-    work = _oriented(state, side)
-    rho = work.matrix
-    eye_b = np.eye(work.dim_b, dtype=complex)
-    pinched = np.zeros_like(rho)
-    for p in measurement.projectors:
-        big = tensor(p, eye_b)
-        pinched += big @ rho @ big
-    return float(np.linalg.norm(pinched - rho))
+    work = orient(state, side)
+    pinched = act_on_first(measurement.projectors, work.matrix, work.dims)
+    return float(np.linalg.norm(pinched - work.matrix))
 
 
 def _extract_from_basis(state: BipartiteState, side: str, basis: CommutantBasis) -> ProjectiveMeasurement | None:
     if basis.nullity <= 1:
         return None
-    work = _oriented(state, side)
-    h = _nonscalar_hermitian(basis.elements, work.dim_a)
+    h = _nonscalar_hermitian(basis.elements, basis.elements[0].shape[0])
     measurement = ProjectiveMeasurement(tuple(_eigenprojectors(h)))
     if len(measurement) < 2:
         raise ArithmeticError("extracted measurement is trivial despite a nontrivial commutant")

@@ -12,11 +12,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, as_operator, partial_trace, random_density, tensor
+from .linalg import _rng, as_operator, partial_trace, random_density, read_only, tensor
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
+SIDES = ("A", "B")
+
+
+def _check_density(m: np.ndarray, label: str) -> np.ndarray:
+    """Return ``m`` if it is a finite, Hermitian, positive semidefinite, unit-trace matrix."""
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{label} has non-finite entries (NaN or inf)")
+    if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(m)):
+        raise ValueError(f"{label} is not Hermitian")
+    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    if eigs[0] < -PSD_TOL:
+        raise ValueError(f"{label} is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
+    trace = np.trace(m).real
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise ValueError(f"{label} must have unit trace, got {trace!r}")
+    return m
 
 
 @dataclass(frozen=True)
@@ -34,19 +50,7 @@ class BipartiteState:
         n = self.dim_a * self.dim_b
         if m.shape != (n, n):
             raise ValueError(f"matrix of shape {m.shape} does not fit dimensions {self.dim_a} x {self.dim_b}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("state matrix has non-finite entries (NaN or inf)")
-        if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(m)):
-            raise ValueError("state matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        if eigs[0] < -PSD_TOL:
-            raise ValueError(f"state matrix is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
-        trace = np.trace(m).real
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"state matrix must have unit trace, got {trace!r}")
-        frozen = m.copy()
-        frozen.setflags(write=False)
-        object.__setattr__(self, "matrix", frozen)
+        object.__setattr__(self, "matrix", read_only(_check_density(m, "state matrix")))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -64,6 +68,13 @@ def swap_sides(state: BipartiteState) -> BipartiteState:
     da, db = state.dims
     m = state.matrix.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
     return BipartiteState(m, db, da)
+
+
+def orient(state: BipartiteState, side: str) -> BipartiteState:
+    """The state with the named side as its first factor."""
+    if side not in SIDES:
+        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
+    return state if side == "A" else swap_sides(state)
 
 
 def max_entangled(d: int) -> BipartiteState:
@@ -88,19 +99,6 @@ def random_state(dim_a: int, dim_b: int, rank: int | None = None, seed=0) -> Bip
     if rank is None:
         rank = n
     return BipartiteState(random_density(n, rank, seed), dim_a, dim_b)
-
-
-def _check_density(m: np.ndarray, label: str) -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{label} has non-finite entries (NaN or inf)")
-    if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(m)):
-        raise ValueError(f"{label} is not Hermitian")
-    eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
-    if eigs[0] < -PSD_TOL:
-        raise ValueError(f"{label} is not positive semidefinite")
-    if abs(np.trace(m).real - 1.0) > TRACE_TOL:
-        raise ValueError(f"{label} does not have unit trace")
-    return m
 
 
 def cq_state(p, sigmas) -> BipartiteState:

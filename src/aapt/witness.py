@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, apply_on_A
-from .duality import TransferMatrix, certify_faithful, restrict_support, state_to_map
-from .linalg import hermitian_basis, hs_inner, rank_evidence, unvec, vec
-from .states import BipartiteState, swap_sides
+from .duality import TransferMatrix, certify_faithful, hermitian_coordinates, restrict_support, state_to_map
+from .linalg import _evidence, hermitian_basis, unvec, vec
+from .states import BipartiteState, orient
 
 HERMITIAN_CHOI_TOL = 1e-12
 TRACE_ANNIHILATION_TOL = 1e-10
@@ -57,10 +57,7 @@ class HermitianPreservingMap:
         if np.linalg.norm(c - c.conj().T) > HERMITIAN_CHOI_TOL * scale:
             raise ValueError("map is not Hermitian preserving (its Choi matrix is not Hermitian)")
         if self.trace_annihilating:
-            residual = np.linalg.norm(self.adjoint_identity())
-            bound = TRACE_ANNIHILATION_TOL * max(1.0, float(np.linalg.norm(self.transfer.matrix)))
-            if residual > bound:
-                raise ValueError(f"map does not annihilate the trace (adjoint identity residual {residual:.3e})")
+            _check_trace_annihilating(self)
 
     @property
     def dim_in(self) -> int:
@@ -77,6 +74,12 @@ class HermitianPreservingMap:
         """The adjoint map applied to the identity, sum_i lambda_i V_i^dag V_i."""
         eye_out = np.eye(self.dim_out, dtype=complex)
         return unvec(self.transfer.matrix.conj().T @ vec(eye_out), (self.dim_in, self.dim_in))
+
+
+def _check_trace_annihilating(m: HermitianPreservingMap) -> None:
+    residual = np.linalg.norm(m.adjoint_identity())
+    if residual > TRACE_ANNIHILATION_TOL * max(1.0, float(np.linalg.norm(m.transfer.matrix))):
+        raise ValueError(f"map does not annihilate the trace (adjoint identity residual {residual:.3e})")
 
 
 @dataclass(frozen=True)
@@ -135,9 +138,7 @@ def decompose_channel_difference(m: HermitianPreservingMap) -> tuple[float, Chan
     if m.dim_in != m.dim_out:
         raise ValueError("only square maps can be split into a channel difference")
     d = m.dim_in
-    residual = np.linalg.norm(m.adjoint_identity())
-    if residual > TRACE_ANNIHILATION_TOL * max(1.0, float(np.linalg.norm(m.transfer.matrix))):
-        raise ValueError(f"map does not annihilate the trace (adjoint identity residual {residual:.3e})")
+    _check_trace_annihilating(m)
     terms = conjugation_decomposition(m)
     if not terms:
         raise ValueError("the zero map has no channel-difference decomposition")
@@ -182,21 +183,14 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     cert = certify_faithful(state, side, tol)
     if cert.faithful:
         return None
-    work = restrict_support(state)
-    if side == "B":
-        work = swap_sides(work)
+    work = orient(restrict_support(state), side)
     da = work.dim_a
-    j = state_to_map(work, "b_to_a")
-    basis_a = hermitian_basis(da)
-    basis_b = hermitian_basis(work.dim_b)
-    image_coords = np.empty((len(basis_a), len(basis_b)))
-    for col, b_in in enumerate(basis_b):
-        image = j.apply(b_in)
-        image_coords[:, col] = [hs_inner(b_out, image).real for b_out in basis_a]
+    image_coords = hermitian_coordinates(state_to_map(work, "b_to_a"))
     u, s, _ = np.linalg.svd(image_coords)
-    rank = rank_evidence(image_coords, tol).rank
+    rank = _evidence(image_coords.shape, s, tol).rank
     if rank >= da * da:
         raise ArithmeticError("rank certificate and image computation disagree; cannot build a witness")
+    basis_a = hermitian_basis(da)
     e_op = np.tensordot(u[:, rank], np.array(basis_a), axes=1)
     g_op = e_op - (np.trace(e_op) / da) * np.eye(da)
     g_norm = float(np.linalg.norm(g_op))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import aapt
 from aapt import (
     Channel,
     apply_on_A,
@@ -231,6 +232,28 @@ class TestStateBasics:
         m[0, 0] = bad
         with pytest.raises(ValueError, match="state matrix has non-finite entries"):
             BipartiteState(m, 2, 2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda state, side: aapt.certify_faithful(state, side),
+            lambda state, side: aapt.certify_sensitive(state, side),
+            lambda state, side: aapt.certify_faithful_to_unitaries(state, side),
+            lambda state, side: aapt.commutant_basis(state, side),
+            lambda state, side: aapt.extract_pcq(state, side),
+            lambda state, side: aapt.pcq_residual(state, aapt.ProjectiveMeasurement((np.eye(2),)), side),
+            lambda state, side: aapt.faithfulness_witness(state, side),
+            lambda state, side: aapt.reconstruct_channel(state, state, side),
+            lambda state, side: aapt.noise_stress(state, Channel.identity(2), 0.0, 1, 0, side),
+        ],
+        ids=[
+            "certify_faithful", "certify_sensitive", "certify_faithful_to_unitaries", "commutant_basis",
+            "extract_pcq", "pcq_residual", "faithfulness_witness", "reconstruct_channel", "noise_stress",
+        ],
+    )
+    def test_every_side_argument_is_validated(self, call):
+        with pytest.raises(ValueError, match=r"side must be one of \('A', 'B'\)"):
+            call(max_entangled(2), "C")
 
     def test_swap_is_an_involution(self):
         state = random_state(2, 3, seed=38)

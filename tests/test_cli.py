@@ -150,6 +150,14 @@ class TestReconstruct:
         result = run_cli("reconstruct", "p4.json", "p4.json", cwd=tmp_path)
         assert result.returncode == 1
 
+    def test_positive_noise_on_a_1x1_probe_is_a_usage_error(self, tmp_path):
+        run_cli("gen", "max-entangled", "--d", "1", "--out", "probe.json", cwd=tmp_path)
+        save(channel_document(random_cptp(1, 2, seed=23), {"cptp": "true"}), tmp_path / "truth.json")
+        result = run_cli("reconstruct", "probe.json", "--channel", "truth.json", "--noise", "1e-3", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "no traceless perturbation" in result.stderr
+        assert "RuntimeWarning" not in result.stderr and "non-finite" not in result.stderr
+
     def test_missing_output_and_channel_is_a_usage_error(self, tmp_path):
         run_cli("gen", "max-entangled", "--d", "2", "--out", "probe.json", cwd=tmp_path)
         assert run_cli("reconstruct", "probe.json", cwd=tmp_path).returncode == 2

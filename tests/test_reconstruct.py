@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,15 @@ class TestNoiseStress:
             noise_stress(probe, truth, noise=-1.0, trials=1, seed=0)
         with pytest.raises(ValueError):
             noise_stress(probe, truth, noise=0.0, trials=0, seed=0)
+
+    def test_positive_noise_on_a_1x1_probe_is_refused_up_front(self):
+        probe = max_entangled(1)
+        truth = random_cptp(1, 2, seed=118)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="1x1 state, which has no traceless perturbation"):
+                noise_stress(probe, truth, noise=1e-3, trials=2, seed=0)
+            assert noise_stress(probe, truth, noise=0.0, trials=2, seed=0)[0].choi_error <= 1e-12
 
 
 class TestReconstructionInvariants:

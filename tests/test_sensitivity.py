@@ -236,6 +236,21 @@ class TestStateFamilies:
         with pytest.raises(ValueError, match=r"sigma\[0\] has non-finite entries"):
             cq_state([0.5, 0.5], [np.diag([bad, 1.0]), np.eye(2) / 2])
 
+    @pytest.mark.parametrize(
+        "block, message",
+        [
+            (np.diag([1.5, -0.5]), r"is not positive semidefinite \(min eigenvalue -5\.000e-01\)"),
+            # numpy 2 prints the trace as np.float64(2.0), numpy 1 as 2.0
+            (np.eye(2), r"must have unit trace, got \S*2\.0\S*"),
+        ],
+        ids=["not_psd", "wrong_trace"],
+    )
+    def test_b_states_are_validated_like_bipartite_states(self, block, message):
+        with pytest.raises(ValueError, match=r"^sigma\[1\] " + message + "$"):
+            cq_state([0.5, 0.5], [np.eye(2) / 2, block])
+        with pytest.raises(ValueError, match=r"^state matrix " + message + "$"):
+            BipartiteState(block, 1, 2)
+
     def test_unitary_faithful_state_marginal_b_is_maximally_mixed(self):
         state = unitary_faithful_state([0.5, 0.3, 0.2])
         assert np.allclose(state.marginal("B"), np.eye(2) / 2, atol=1e-14)
