@@ -114,7 +114,11 @@ class Channel:
                 raise ValueError("need at least one Kraus operator")
             if any(k.shape != (dim_out, dim_in) for k in ops):
                 raise ValueError(f"every Kraus operator must have shape ({dim_out}, {dim_in})")
-            data = tuple(read_only(k) for k in ops)
+            stacked = np.stack(ops)
+            if not np.isfinite(stacked).all():
+                raise ValueError("Kraus operators have non-finite entries (NaN or inf)")
+            stacked.setflags(write=False)
+            data = tuple(stacked)
         else:
             m = as_operator(data)
             expected = (
@@ -124,6 +128,8 @@ class Channel:
             )
             if m.shape != expected:
                 raise ValueError(f"{kind} matrix must have shape {expected}, got {m.shape}")
+            if not np.isfinite(m).all():
+                raise ValueError(f"{kind} matrix has non-finite entries (NaN or inf)")
             data = read_only(m)
         self.kind = kind
         self.dim_in = dim_in

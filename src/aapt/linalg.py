@@ -13,10 +13,16 @@ caller supplies a positive tolerance.  Certificates built on top of these
 routines keep the singular values around the cut so the decision can be
 audited afterwards.
 
-Null spaces are read from ``vh`` alone, so their SVD is thin whenever
-``rows >= cols`` (the thin ``vh`` is then the whole ``cols x cols`` factor)
-and full only for wide matrices.  A tall ``n^2 x d^2`` commutator matrix
-thus never builds an ``n^2 x n^2`` ``u`` only to discard it.
+Null spaces are read from ``s`` and ``vh`` alone.  A tall matrix is first
+reduced to the square ``R`` of its QR factorization (``mode="r"``, so no
+``Q`` is formed); ``R`` has the same singular values and right singular
+vectors, and its SVD builds a ``cols x cols`` ``u`` instead of the
+``rows x cols`` one that the null space never reads.  A square matrix takes
+its SVD directly, and a wide one the full SVD, whose ``vh`` also holds the
+``cols - rows`` directions that no singular value reaches.  A caller whose
+matrix stands in for a larger one with the same singular values passes the
+larger shape, so the tolerance rule and the rank cut read the shape of the
+matrix the decision is about.
 """
 
 from __future__ import annotations
@@ -189,9 +195,12 @@ def rank_evidence(m, tol: float = 0.0) -> RankEvidence:
     return _evidence(m.shape, s, tol)
 
 
-def _svd_nullspace(m: np.ndarray, tol: float) -> tuple[RankEvidence, np.ndarray]:
-    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    ev = _evidence(m.shape, s, tol)
+def _svd_nullspace(m: np.ndarray, tol: float, shape: tuple[int, int] | None = None) -> tuple[RankEvidence, np.ndarray]:
+    """Rank evidence and right null space of ``m``, with the tolerance rule read at ``shape`` (default ``m.shape``)."""
+    rows, cols = m.shape
+    r = np.linalg.qr(m, mode="r") if rows > cols else m
+    _, s, vh = np.linalg.svd(r, full_matrices=rows < cols)
+    ev = _evidence(m.shape if shape is None else shape, s, tol)
     return ev, vh[ev.rank:].conj().T
 
 
@@ -202,9 +211,9 @@ def rank_and_nullspace(m, tol: float = 0.0) -> tuple[int, np.ndarray]:
     space of ``m``; ``rank + basis.shape[1] == m.shape[1]`` always holds.
     With ``tol=0`` the default cutoff rule applies.
 
-    The basis is read from ``vh`` only.  When ``rows >= cols`` the thin SVD
-    already returns all ``cols`` right singular vectors, so it is used and
-    no ``rows x rows`` ``u`` is formed; a wide matrix takes the full SVD,
+    The basis is read from ``vh`` only.  A tall matrix is reduced to the
+    ``cols x cols`` R factor of its QR factorization first, so no
+    ``rows x cols`` ``u`` is formed; a wide matrix takes the full SVD,
     since its null space also contains the ``cols - rows`` directions that
     the thin ``vh`` leaves out.
     """

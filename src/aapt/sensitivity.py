@@ -15,6 +15,30 @@ the state unperturbed (the state is then "partially classical-quantum").
 Both certified classes therefore share one verdict, the nullity of the
 commutator map, and when the nullity exceeds one the unperturbing measurement
 is constructed explicitly.
+
+The nullity is read from the state's own operator space.  One SVD of the
+reshuffled ``d_A^2 x d_B^2`` matrix gives the operator-Schmidt form
+rho = sum_k s_k A_k (x) B_k with the B_k Hilbert-Schmidt orthonormal, so
+
+    ||[M (x) 1, rho]||^2 = sum_k s_k^2 ||[M, A_k]||^2
+
+and the stack of the ``s_k ad(A_k)`` has exactly the singular values of the
+``n^2 x d_A^2`` commutator matrix K with only ``r d_A^2`` rows, r the
+operator-Schmidt rank.  The stack replaces K when r < d_B^2; otherwise it
+would be no smaller, and K itself is decomposed.  Terms are dropped only at
+s_k <= 1e-13 s_0, and a check after the SVD keeps the stack only when the
+dropped terms move K's singular values by at most 1e-3 of the rank
+tolerance; otherwise K is decomposed after all.  That check also sends a K
+that vanishes exactly (rho = 1/d_A (x) sigma) back to K: the stack's own
+rounding then sets its tolerance, and the dropped rounding-level terms
+exceed a thousandth of it.  The tolerance is always computed with K's
+shape, so the rank cut is the same on either route.
+
+The PC-Q measurement comes from one fixed generic Hermitian weight W: its
+orthogonal projection onto the commutant, with the trace removed, is a
+Hermitian commutant element whose spectral projectors give the measurement.
+The projection depends on the commutant only as a subspace, not on the
+basis that spans it, so both routes yield the same projectors.
 """
 
 from __future__ import annotations
@@ -23,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankEvidence, _svd_nullspace, act_on_first, as_operator, gap_ratio, read_only, unvec
+from .duality import state_to_map
+from .linalg import RankEvidence, _rng, _svd_nullspace, act_on_first, as_operator, gap_ratio, read_only, unvec
 from .states import BipartiteState, orient
 
 CHANNEL_CLASSES = ("unitary", "unital")
@@ -31,6 +56,9 @@ PCQ_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 EIGENVALUE_CLUSTER_RTOL = 1e-8
 SCALAR_PART_RTOL = 1e-8
+SCHMIDT_DROP_RTOL = 1e-13
+DROPPED_MASS_RTOL = 1e-3
+PCQ_WEIGHT_SEED = 20220101
 
 
 @dataclass(frozen=True)
@@ -125,34 +153,74 @@ def _commutator_matrix(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return k.reshape(n * n, da * da)
 
 
+def _schmidt_terms(work: BipartiteState) -> tuple[np.ndarray, float]:
+    """Operator-Schmidt terms of the state kept for the stack, and how far the rest can move K.
+
+    Column k of the first result is s_k times the k-th left singular vector
+    of the reshuffled matrix, whose rows index (a', a): read row-major it is
+    s_k A_k^T.  Terms at s_k <= 1e-13 s_0 are dropped.  ||ad(A)|| <= 2 for
+    ||A||_F = 1, so the dropped terms move K's singular values by at most
+    twice their norm.
+    """
+    u, s, _ = np.linalg.svd(state_to_map(work, "b_to_a").matrix, full_matrices=False)
+    r = int((s > SCHMIDT_DROP_RTOL * s[0]).sum())
+    return u[:, :r] * s[:r], 2.0 * float(np.linalg.norm(s[r:]))
+
+
+def _adjoint_stack(weighted: np.ndarray, d: int) -> np.ndarray:
+    """Rows of s_k ad(A_k) = s_k (1 (x) A_k - A_k^T (x) 1) over vectorized M, stacked over k.
+
+    Block k, row (i, j), column (p, q) holds delta_ip A_k[j, q] - A_k[p, i] delta_jq.
+    As in :func:`_commutator_matrix` the entries are placed by slice
+    assignment; an ``einsum`` against the identity gives the same bytes but
+    multiplies out every zero.
+    """
+    at = weighted.T.reshape(-1, d, d)  # (k, p, q) = s_k A_k[q, p]
+    out = np.zeros((at.shape[0], d, d, d, d), dtype=complex)  # (k, i, j, p, q)
+    units = np.arange(d)
+    out[:, units, :, units, :] = at.transpose(0, 2, 1)[None]
+    out[:, :, units, :, units] -= at[None]
+    return out.reshape(-1, d * d)
+
+
+def _commutant_nullspace(work: BipartiteState, tol: float) -> tuple[RankEvidence, np.ndarray]:
+    """Rank evidence and null vectors of K, from the operator-Schmidt stack when it is smaller."""
+    da, db = work.dims
+    weighted, moved = _schmidt_terms(work)
+    if weighted.shape[1] < db * db:
+        ev, null_vectors = _svd_nullspace(_adjoint_stack(weighted, da), tol, ((da * db) ** 2, da * da))
+        if moved <= DROPPED_MASS_RTOL * ev.tol:
+            return ev, null_vectors
+    return _svd_nullspace(_commutator_matrix(work.matrix, work.dims), tol)
+
+
 def commutant_basis(state: BipartiteState, side: str = "A", tol: float = 0.0) -> CommutantBasis:
     """Null space of the local commutator map, as operators on the chosen side."""
     work = orient(state, side)
-    k = _commutator_matrix(work.matrix, work.dims)
-    ev, null_vectors = _svd_nullspace(k, tol)
+    ev, null_vectors = _commutant_nullspace(work, tol)
     d = work.dim_a
     elements = tuple(unvec(null_vectors[:, i], (d, d)) for i in range(null_vectors.shape[1]))
     return CommutantBasis(side=side, elements=elements, nullity=len(elements), tol=ev.tol, evidence=ev)
 
 
 def _nonscalar_hermitian(elements: tuple[np.ndarray, ...], d: int) -> np.ndarray:
-    """Pick a traceless Hermitian operator out of the commutant span.
+    """A traceless Hermitian operator in the commutant span, independent of the spanning basis.
 
-    Chooses the basis element with the largest component orthogonal to the
-    identity, strips its trace, and takes the Hermitian part (falling back to
-    the anti-Hermitian part when that is numerically scalar).  Both parts
-    commute with the state because the state is Hermitian.
+    Projects a fixed generic Hermitian weight W (a GUE draw from a fixed
+    seed) onto the span (sum_i <E_i, W> E_i over the orthonormal elements),
+    strips the trace and takes the Hermitian part.  The commutant of a
+    Hermitian state is closed under adjoints, so the projection of a
+    Hermitian W is already Hermitian up to rounding.
     """
-    best = None
-    best_score = -1.0
-    for m in elements:
-        perp = m - (np.trace(m) / d) * np.eye(d)
-        score = float(np.linalg.norm(perp))
-        if score > best_score:
-            best, best_score = perp, score
-    h = (best + best.conj().T) / 2
-    if np.linalg.norm(h) <= SCALAR_PART_RTOL * best_score:
-        h = (best - best.conj().T) / 2j
+    g = _rng(PCQ_WEIGHT_SEED)
+    z = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+    w = (z + z.conj().T) / 2
+    stack = np.stack(elements)
+    projected = np.einsum("k,kij->ij", np.einsum("kij,ij->k", stack.conj(), w), stack)
+    perp = projected - (np.trace(projected) / d) * np.eye(d)
+    h = (perp + perp.conj().T) / 2
+    if np.linalg.norm(h) <= SCALAR_PART_RTOL * np.linalg.norm(w):
+        raise ArithmeticError("the fixed weight has no non-scalar component in the commutant")
     return h
 
 

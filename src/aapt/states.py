@@ -31,7 +31,7 @@ def _check_density(m: np.ndarray, label: str) -> np.ndarray:
         raise ValueError(f"{label} is not positive semidefinite (min eigenvalue {eigs[0]:.3e})")
     trace = np.trace(m).real
     if abs(trace - 1.0) > TRACE_TOL:
-        raise ValueError(f"{label} must have unit trace, got {trace!r}")
+        raise ValueError(f"{label} must have unit trace, got {float(trace)}")
     return m
 
 
@@ -64,10 +64,17 @@ class BipartiteState:
 
 
 def swap_sides(state: BipartiteState) -> BipartiteState:
-    """Exchange the roles of A and B (an exact index permutation)."""
+    """Exchange the roles of A and B (an exact index permutation).
+
+    Permuting the indices of a valid state gives a valid state, so the result
+    is assembled directly instead of running the validation again.
+    """
     da, db = state.dims
     m = state.matrix.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
-    return BipartiteState(m, db, da)
+    swapped = object.__new__(BipartiteState)
+    for name, value in (("matrix", read_only(m)), ("dim_a", db), ("dim_b", da)):
+        object.__setattr__(swapped, name, value)
+    return swapped
 
 
 def orient(state: BipartiteState, side: str) -> BipartiteState:

@@ -265,3 +265,45 @@ class TestStateBasics:
         state = product_state(rho_a, rho_b)
         assert np.allclose(state.marginal("A"), rho_a, atol=1e-14)
         assert np.allclose(state.marginal("B"), rho_b, atol=1e-14)
+
+
+class TestNonFiniteChannelData:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_kraus_operators_with_non_finite_entries_are_rejected(self, bad):
+        k = np.eye(2, dtype=complex)
+        k[0, 1] = bad
+        with pytest.raises(ValueError, match=r"^Kraus operators have non-finite entries \(NaN or inf\)$"):
+            Channel.from_kraus([k])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_choi_and_transfer_matrices_with_non_finite_entries_are_rejected(self, bad):
+        choi = Channel.identity(2).choi()
+        choi[1, 2] = bad
+        with pytest.raises(ValueError, match=r"^choi matrix has non-finite entries \(NaN or inf\)$"):
+            Channel.from_choi(choi, 2, 2)
+        with pytest.raises(ValueError, match=r"^transfer matrix has non-finite entries \(NaN or inf\)$"):
+            Channel.from_transfer(choi, 2, 2)
+
+
+class TestSwapSidesDoesNotRevalidate:
+    def test_no_density_check_runs_and_the_result_is_the_permuted_state(self, monkeypatch):
+        import aapt.states as states
+
+        state = random_state(2, 3, seed=41)
+        want = BipartiteState(state.matrix.reshape(2, 3, 2, 3).transpose(1, 0, 3, 2).reshape(6, 6), 3, 2)
+        checks = []
+        monkeypatch.setattr(states, "_check_density", lambda m, label: checks.append(label) or m)
+        swapped = swap_sides(state)
+        assert checks == []
+        assert swapped.dims == (3, 2)
+        assert np.array_equal(swapped.matrix, want.matrix)
+        assert not swapped.matrix.flags.writeable
+        assert np.array_equal(swap_sides(swapped).matrix, state.matrix)
+
+    @pytest.mark.parametrize("dims", [(1, 3), (3, 1), (1, 1)])
+    def test_d1_sides_swap_to_a_read_only_state(self, dims):
+        state = random_state(*dims, seed=42)
+        swapped = swap_sides(state)
+        assert swapped.dims == dims[::-1]
+        assert np.array_equal(swapped.matrix, state.matrix)
+        assert not swapped.matrix.flags.writeable

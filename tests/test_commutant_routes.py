@@ -1,0 +1,178 @@
+"""The operator-Schmidt stack against the commutator matrix K it stands in for.
+
+``commutant_basis`` decomposes the stack of s_k ad(A_k) when the state's
+operator-Schmidt rank is below d_B^2 and K otherwise.  K stays the oracle:
+each probe is checked on both sides against an SVD of K taken here with
+numpy directly, for nullity, singular values, tolerance and the PC-Q
+projectors.
+"""
+
+import numpy as np
+import pytest
+
+from aapt import (
+    BipartiteState,
+    certify_sensitive,
+    commutant_basis,
+    cq_state,
+    max_entangled,
+    product_state,
+    random_cq_state,
+    random_density,
+    random_state,
+    unitary_faithful_state,
+    unvec,
+)
+from aapt import sensitivity
+from aapt.linalg import default_rank_tol
+from aapt.sensitivity import (
+    DROPPED_MASS_RTOL,
+    _adjoint_stack,
+    _commutator_matrix,
+    _eigenprojectors,
+    _nonscalar_hermitian,
+    _schmidt_terms,
+)
+from aapt.states import orient
+
+from helpers import random_complex
+
+
+def _basis_state(d, i):
+    m = np.zeros((d, d), dtype=complex)
+    m[i, i] = 1.0
+    return m
+
+
+PROBES = {
+    "1x1": BipartiteState(np.eye(1), 1, 1),
+    "1x3": random_state(1, 3, seed=501),
+    "3x1": random_state(3, 1, seed=502),
+    "product_3x2": product_state(random_density(3, 3, seed=503), random_density(2, 2, seed=504)),
+    "product_2x5": product_state(random_density(2, 2, seed=505), random_density(5, 5, seed=506)),
+    "product_pure_a_4x2": product_state(random_density(4, 1, seed=507), random_density(2, 2, seed=508)),
+    "cq_3x2": random_cq_state(3, 2, seed=509),
+    "cq_4x3": random_cq_state(4, 3, seed=510),
+    "cq_basis_3x2": cq_state([0.5, 0.3, 0.2], [_basis_state(2, 0), _basis_state(2, 1), _basis_state(2, 0)]),
+    "random_3x3": random_state(3, 3, seed=511),
+    "random_2x4": random_state(2, 4, seed=512),
+    "rank2_3x3": random_state(3, 3, rank=2, seed=513),
+    "pure_2x3": random_state(2, 3, rank=1, seed=514),
+    "max_entangled_3": max_entangled(3),
+    "unitary_faithful_3": unitary_faithful_state([0.5, 0.3, 0.2]),
+    "maximally_mixed_2x3": BipartiteState(np.eye(6) / 6, 2, 3),
+    "mixed_a_3x4": product_state(np.eye(3) / 3, random_density(4, 4, seed=515)),
+}
+CASES = [(name, side) for name in PROBES for side in ("A", "B")]
+
+
+def k_oracle(state, side):
+    """Singular values, tolerance, nullity and commutant elements from numpy's SVD of K."""
+    work = orient(state, side)
+    d = work.dim_a
+    k = _commutator_matrix(work.matrix, work.dims)
+    _, s, vh = np.linalg.svd(k, full_matrices=False)
+    tol = default_rank_tol(k.shape, float(s[0]))
+    rank = int((s > tol).sum())
+    elements = tuple(unvec(v, (d, d)) for v in vh[rank:].conj())
+    return s, tol, d * d - rank, elements
+
+
+@pytest.mark.parametrize("name, side", CASES)
+def test_stack_route_matches_the_commutator_matrix(name, side):
+    state = PROBES[name]
+    s_k, tol_k, nullity_k, _ = k_oracle(state, side)
+    basis = commutant_basis(state, side)
+    assert basis.nullity == nullity_k
+    assert basis.tol == pytest.approx(tol_k, rel=1e-13, abs=0.0)
+    work = orient(state, side)
+    weighted, _ = _schmidt_terms(work)
+    s_stack = np.linalg.svd(_adjoint_stack(weighted, work.dim_a), compute_uv=False)[: s_k.size]
+    if s_k[0] > 0:
+        assert np.max(np.abs(s_stack - s_k)) <= 1e-13 * s_k[0]
+    else:
+        # K vanishes exactly, the stack only up to rounding: the route must use K
+        assert basis.tol == 0.0 == basis.evidence.smallest_kept
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Dimensions of every commutator matrix K that ``commutant_basis`` builds."""
+    calls = []
+    real = sensitivity._commutator_matrix
+    monkeypatch.setattr(sensitivity, "_commutator_matrix", lambda rho, dims: calls.append(dims) or real(rho, dims))
+    return calls
+
+
+def test_the_stack_route_is_taken_for_low_schmidt_rank(built):
+    for name in ("product_3x2", "cq_3x2", "unitary_faithful_3"):
+        commutant_basis(PROBES[name], "A")
+    assert built == []
+    commutant_basis(PROBES["random_3x3"], "A")  # Schmidt rank d_B^2: the stack would be no smaller
+    assert built == [(3, 3)]
+
+
+def _correlated_below_the_drop_line(relative):
+    """A product state plus one Schmidt term at ``relative`` times the product's norm."""
+    rho_a = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    rho_b = np.diag([0.6, 0.4]).astype(complex)
+    x = np.diag([1.0, -1.0, 0.0]).astype(complex)
+    y = np.diag([1.0, -1.0]).astype(complex)
+    product = np.kron(rho_a, rho_b)
+    extra = relative * np.linalg.norm(product) * np.kron(x, y) / (np.linalg.norm(x) * np.linalg.norm(y))
+    return BipartiteState(product + extra, 3, 2)
+
+
+def test_dropped_mass_above_the_limit_recomputes_on_the_commutator_matrix(built):
+    state = _correlated_below_the_drop_line(5e-14)
+    weighted, moved = _schmidt_terms(state)
+    assert weighted.shape[1] == 1  # the correlated term fell under the drop line
+    basis = commutant_basis(state)
+    assert built == [(3, 2)]
+    assert moved > DROPPED_MASS_RTOL * basis.tol
+    _, tol_k, nullity_k, _ = k_oracle(state, "A")
+    assert basis.nullity == nullity_k == 3
+    assert basis.tol == pytest.approx(tol_k, rel=1e-13)
+    # the same state without the correlated term keeps the stack
+    assert commutant_basis(_correlated_below_the_drop_line(0.0)).nullity == 3 and built == [(3, 2)]
+
+
+def test_an_explicit_tolerance_is_what_the_dropped_mass_is_held_to(built):
+    state = _correlated_below_the_drop_line(2e-15)
+    _, moved = _schmidt_terms(state)
+    assert DROPPED_MASS_RTOL * 1e-13 < moved <= DROPPED_MASS_RTOL * commutant_basis(state).tol
+    assert built == []
+    assert commutant_basis(state, tol=1e-13).nullity == 3
+    assert built == [(3, 2)]
+
+
+def _projectors(cert):
+    return [np.asarray(p) for p in cert.pcq_measurement.projectors]
+
+
+NON_SENSITIVE = [(name, side) for name, side in CASES if k_oracle(PROBES[name], side)[2] > 1]
+
+
+@pytest.mark.parametrize("name, side", NON_SENSITIVE)
+def test_pcq_projectors_agree_across_routes(name, side):
+    state = PROBES[name]
+    _, _, _, elements = k_oracle(state, side)
+    want = _eigenprojectors(_nonscalar_hermitian(elements, elements[0].shape[0]))
+    got = _projectors(certify_sensitive(state, side))
+    assert len(got) == len(want)
+    for p, q in zip(got, want):
+        assert np.max(np.abs(p - q)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, side", [c for c in NON_SENSITIVE if k_oracle(PROBES[c[0]], c[1])[0][0] > 0])
+def test_pcq_projectors_survive_a_rounding_level_perturbation(name, side):
+    state = PROBES[name]
+    h = random_complex(state.matrix.shape, 516)
+    h = h + h.conj().T
+    h -= np.trace(h) / h.shape[0] * np.eye(h.shape[0])
+    moved = BipartiteState(state.matrix + 1e-15 * h / np.linalg.norm(h), *state.dims)
+    want, got = certify_sensitive(state, side), certify_sensitive(moved, side)
+    assert got.nullity == want.nullity
+    assert len(_projectors(got)) == len(_projectors(want))
+    for p, q in zip(_projectors(got), _projectors(want)):
+        assert np.max(np.abs(p - q)) <= 1e-12

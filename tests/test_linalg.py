@@ -236,3 +236,37 @@ class TestCompositionInvariants:
         b = random_complex((db, db), seed + 1)
         got = partial_trace(tensor(a, b), (da, db), "B")
         assert np.allclose(got, np.trace(b) * a, atol=1e-12)
+
+
+class TestNullspaceShapes:
+    @pytest.mark.parametrize(
+        "rows, inner, cols",
+        [(9, 2, 4), (40, 3, 6), (5, 3, 5), (4, 4, 4), (2, 2, 5), (3, 1, 7)],
+        ids=["tall", "very_tall", "square", "square_full", "wide", "wide_rank1"],
+    )
+    def test_rank_plus_nullity_is_the_column_count(self, rows, inner, cols):
+        m = random_complex((rows, inner), rows * 100 + cols) @ random_complex((inner, cols), inner)
+        ev = rank_evidence(m)
+        rank, basis = rank_and_nullspace(m)
+        assert rank == ev.rank == min(inner, rows, cols)
+        assert rank + basis.shape[1] == cols
+        assert np.allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        assert np.linalg.norm(m @ basis) <= 10 * ev.tol
+
+    def test_r_only_svd_keeps_the_evidence_of_the_full_svd(self):
+        from aapt.linalg import _evidence, _svd_nullspace
+
+        m = random_complex((60, 5), 17) @ random_complex((5, 8), 18)
+        got, _ = _svd_nullspace(m, 0.0)
+        want = _evidence(m.shape, np.linalg.svd(m, compute_uv=False), 0.0)
+        assert got.rank == want.rank == 5
+        assert got.tol == pytest.approx(want.tol, rel=1e-13)
+        assert got.smallest_kept == pytest.approx(want.smallest_kept, rel=1e-12)
+
+    def test_tolerance_reads_the_shape_it_is_given(self):
+        from aapt.linalg import _svd_nullspace, default_rank_tol
+
+        m = random_complex((6, 4), 19)
+        ev, _ = _svd_nullspace(m, 0.0, (1296, 4))
+        assert ev.tol == pytest.approx(default_rank_tol((1296, 4), float(np.linalg.svd(m, compute_uv=False)[0])), rel=1e-13)
+        assert ev.tol == pytest.approx(1296 / 6 * _svd_nullspace(m, 0.0)[0].tol, rel=1e-15)

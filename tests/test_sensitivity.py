@@ -265,3 +265,10 @@ class TestStateFamilies:
         state = unitary_faithful_state([0.7, 0.3])
         assert certify_faithful(state).rank == 2
         assert certify_sensitive(state).nullity == 1
+
+
+def test_trace_message_prints_a_plain_float():
+    with pytest.raises(ValueError, match=r"^state matrix must have unit trace, got 2\.0$"):
+        BipartiteState(np.eye(2), 1, 2)
+    with pytest.raises(ValueError, match=r"^sigma\[1\] must have unit trace, got 2\.0$"):
+        cq_state([0.5, 0.5], [np.eye(2) / 2, np.eye(2)])
