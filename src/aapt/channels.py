@@ -139,7 +139,7 @@ class Channel:
     @classmethod
     def from_kraus(cls, ops) -> "Channel":
         ops = [as_operator(k) for k in ops]
-        rows, cols = ops[0].shape
+        rows, cols = ops[0].shape if ops else (1, 1)  # the constructor refuses an empty list
         return cls("kraus", ops, cols, rows)
 
     @classmethod

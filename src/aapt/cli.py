@@ -18,6 +18,7 @@ Exit status encodes the outcome for scripting:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -41,7 +42,9 @@ AMBIGUOUS_GAP_RATIO = 10.0
 FAMILIES = ("max-entangled", "product", "cq", "prop4", "random")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every :func:`main` call."""
     parser = argparse.ArgumentParser(
         prog="aapt",
         description="Certify, witness, and reconstruct with bipartite probes for ancilla-assisted process tomography.",
@@ -174,7 +177,7 @@ def _cmd_certify(args) -> int:
         verdict = cert.sensitive
         doc = documents.sensitivity_document(cert, state.dims)
     _emit(doc, args.out)
-    gap_ratio = cert.gap_ratio
+    gap_ratio = cert.evidence.gap_ratio
     if gap_ratio < AMBIGUOUS_GAP_RATIO:
         print(
             f"ambiguous rank decision: gap ratio {gap_ratio:.3g} < {AMBIGUOUS_GAP_RATIO:g}; "

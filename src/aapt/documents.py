@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import Channel, classify
 from .duality import FaithfulnessCertificate, TransferMatrix
-from .linalg import read_only
+from .linalg import RankEvidence, read_only
 from .reconstruct import ReconstructionReport
 from .sensitivity import SensitivityCertificate
 from .states import BipartiteState
@@ -67,8 +67,13 @@ def format_number(x: float) -> str:
     return format(x, ".17g")
 
 
-def _format_gap(ratio: float) -> str:
-    return str(ratio) if math.isinf(ratio) else format_number(ratio)
+def _cut_meta(ev: RankEvidence) -> dict[str, str]:
+    ratio = ev.gap_ratio
+    return {"tol": format_number(ev.tol), "gap_ratio": str(ratio) if math.isinf(ratio) else format_number(ratio)}
+
+
+def _cut_data(ev: RankEvidence) -> np.ndarray:
+    return np.array([ev.smallest_kept, ev.largest_dropped], dtype=complex)
 
 
 def _encode_data(arr: np.ndarray) -> str:
@@ -185,20 +190,18 @@ def document_to_transfer(doc: MatrixDocument) -> TransferMatrix:
 
 
 def faithfulness_document(cert: FaithfulnessCertificate, meta: dict[str, str] | None = None) -> MatrixDocument:
-    gap = np.array([cert.smallest_kept, cert.largest_dropped], dtype=complex)
     merged = {
         "mode": "faithful",
         "verdict": "true" if cert.faithful else "false",
         "side": cert.side,
         "rank": str(cert.rank),
         "required_rank": str(cert.required_rank),
-        "tol": format_number(cert.tol),
-        "gap_ratio": _format_gap(cert.gap_ratio),
+        **_cut_meta(cert.evidence),
         "restricted_dims": f"{cert.dims[0]}x{cert.dims[1]}",
         "evidence": "singular_gap",
         **(meta or {}),
     }
-    return MatrixDocument("certificate", cert.input_dims, gap, merged)
+    return MatrixDocument("certificate", cert.input_dims, _cut_data(cert.evidence), merged)
 
 
 def sensitivity_document(cert: SensitivityCertificate, dims: tuple[int, int], meta: dict[str, str] | None = None) -> MatrixDocument:
@@ -208,8 +211,7 @@ def sensitivity_document(cert: SensitivityCertificate, dims: tuple[int, int], me
         "side": cert.side,
         "channel_class": cert.channel_class,
         "nullity": str(cert.nullity),
-        "tol": format_number(cert.tol),
-        "gap_ratio": _format_gap(cert.gap_ratio),
+        **_cut_meta(cert.evidence),
         **(meta or {}),
     }
     if cert.pcq_measurement is not None:
@@ -217,7 +219,7 @@ def sensitivity_document(cert: SensitivityCertificate, dims: tuple[int, int], me
         data = np.stack(cert.pcq_measurement.projectors)
     else:
         merged["evidence"] = "singular_gap"
-        data = np.array([cert.smallest_kept, cert.largest_dropped], dtype=complex)
+        data = _cut_data(cert.evidence)
     return MatrixDocument("certificate", dims, data, merged)
 
 

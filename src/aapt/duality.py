@@ -24,17 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import choi_to_transfer, transfer_to_choi
-from .linalg import (
-    as_operator,
-    gap_ratio,
-    hermitian_basis,
-    hs_inner,
-    rank_evidence,
-    read_only,
-    tensor,
-    unvec,
-    vec,
-)
+from .linalg import RankEvidence, as_operator, hermitian_basis, rank_evidence, read_only, tensor, unvec, vec
 from .states import BipartiteState, orient
 
 DIRECTIONS = ("a_to_b", "b_to_a")
@@ -141,23 +131,38 @@ class FaithfulnessCertificate:
     ``rank`` is the numerical rank of the probe's channel map on the chosen
     side and ``required_rank`` the square of that side's dimension after
     support restriction; the state is faithful exactly when they agree.
-    ``smallest_kept`` and ``largest_dropped`` are the singular values on
-    either side of the rank cut.
+    ``evidence`` is the rank decision itself, with the singular values on
+    either side of the cut.
     """
 
     faithful: bool
     side: str
     rank: int
     required_rank: int
-    smallest_kept: float
-    largest_dropped: float
-    tol: float
+    evidence: RankEvidence
     dims: tuple[int, int]
     input_dims: tuple[int, int]
 
-    @property
-    def gap_ratio(self) -> float:
-        return gap_ratio(self.smallest_kept, self.largest_dropped)
+
+def _decide_faithful(
+    state: BipartiteState, side: str, tol: float
+) -> tuple[FaithfulnessCertificate, BipartiteState, np.ndarray]:
+    """The faithfulness decision, with the restricted and oriented state and the A -> B matrix it was read from."""
+    restricted = restrict_support(state)
+    work = orient(restricted, side)
+    matrix = state_to_map(work).matrix
+    ev = rank_evidence(matrix, tol)
+    required = work.dim_a**2
+    cert = FaithfulnessCertificate(
+        faithful=ev.rank == required,
+        side=side,
+        rank=ev.rank,
+        required_rank=required,
+        evidence=ev,
+        dims=restricted.dims,
+        input_dims=state.dims,
+    )
+    return cert, work, matrix
 
 
 def certify_faithful(state: BipartiteState, side: str = "A", tol: float = 0.0) -> FaithfulnessCertificate:
@@ -168,45 +173,17 @@ def certify_faithful(state: BipartiteState, side: str = "A", tol: float = 0.0) -
     is full column rank |A|^2 of the A -> B map, equivalently full row rank
     of the B -> A direction.
     """
-    restricted = restrict_support(state)
-    work = orient(restricted, side)
-    ev = rank_evidence(state_to_map(work).matrix, tol)
-    required = work.dim_a**2
-    return FaithfulnessCertificate(
-        faithful=ev.rank == required,
-        side=side,
-        rank=ev.rank,
-        required_rank=required,
-        smallest_kept=ev.smallest_kept,
-        largest_dropped=ev.largest_dropped,
-        tol=ev.tol,
-        dims=restricted.dims,
-        input_dims=state.dims,
-    )
-
-
-def hermitian_coordinates(t: TransferMatrix) -> np.ndarray:
-    """Real matrix of a map in the Gell-Mann bases of its input and output spaces.
-
-    Column ``j`` holds the output-basis coordinates of the map applied to
-    input basis element ``j`` (see :func:`aapt.linalg.hermitian_basis`).
-    Only real parts are kept, which is exact for a Hermitian-preserving map.
-    """
-    basis_in = hermitian_basis(t.dim_in)
-    basis_out = hermitian_basis(t.dim_out)
-    coeffs = np.empty((len(basis_out), len(basis_in)))
-    for j, b_in in enumerate(basis_in):
-        image = t.apply(b_in)
-        coeffs[:, j] = [hs_inner(b_out, image).real for b_out in basis_out]
-    return coeffs
+    return _decide_faithful(state, side, tol)[0]
 
 
 def hermitian_restricted_rank(t: TransferMatrix, tol: float = 0.0) -> int:
     """Real rank of a map restricted to Hermitian operators.
 
     The map is expressed in orthonormal Hermitian bases of its input and
-    output spaces; for a Hermitian-preserving map the resulting coefficient
-    matrix is real and its real rank equals the complex rank of the full
-    transfer matrix.
+    output spaces, as Re(F_out^dag T F_in) where the columns of F are vec of
+    :func:`aapt.linalg.hermitian_basis`; for a Hermitian-preserving map that
+    coefficient matrix is real and its real rank equals the complex rank of
+    the full transfer matrix.
     """
-    return rank_evidence(hermitian_coordinates(t), tol).rank
+    f_in, f_out = (np.stack([vec(b) for b in hermitian_basis(d)], axis=1) for d in (t.dim_in, t.dim_out))
+    return rank_evidence((f_out.conj().T @ t.matrix @ f_in).real, tol).rank

@@ -33,6 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 RANK_RTOL = 1e-12
+WEIGHT_SEED = 20220101
+WEIGHT_PART_RTOL = 1e-8
 
 
 def _rng(seed) -> np.random.Generator:
@@ -156,14 +158,10 @@ class RankEvidence(NamedTuple):
 
     @property
     def gap_ratio(self) -> float:
-        return gap_ratio(self.smallest_kept, self.largest_dropped)
-
-
-def gap_ratio(smallest_kept: float, largest_dropped: float) -> float:
-    """Ratio of the singular values either side of a rank cut (inf when nothing was dropped)."""
-    if largest_dropped <= 0.0:
-        return math.inf
-    return smallest_kept / largest_dropped
+        """Ratio of the singular values either side of the cut (inf when nothing was dropped)."""
+        if self.largest_dropped <= 0.0:
+            return math.inf
+        return self.smallest_kept / self.largest_dropped
 
 
 def default_rank_tol(shape: tuple[int, int], s_max: float) -> float:
@@ -231,6 +229,30 @@ def pseudo_inverse(m, tol: float = 0.0) -> np.ndarray:
     keep = s > used
     inv_s[keep] = 1.0 / s[keep]
     return vh.conj().T @ (inv_s[:, None] * u.conj().T)
+
+
+def weight_in_span(elements: np.ndarray, d: int, traceless: bool = False) -> np.ndarray:
+    """Hermitian part of the projection of one fixed weight W onto the span of ``elements``.
+
+    W is a GUE draw from ``WEIGHT_SEED``, the same for every caller.  The
+    ``d x d`` elements, stacked along the first axis, are Hilbert-Schmidt
+    orthonormal, so the projection is sum_i <E_i, W> E_i; it depends on the
+    span, not on the basis that spans it.  For a span closed under adjoints
+    the projection of the Hermitian W is already Hermitian up to rounding.
+    With ``traceless`` the trace is removed before the Hermitian part is
+    taken.  Raises ArithmeticError when the result is at most 1e-8 ||W||.
+    """
+    g = _rng(WEIGHT_SEED)
+    z = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+    w = (z + z.conj().T) / 2
+    projected = np.einsum("k,kij->ij", np.einsum("kij,ij->k", elements.conj(), w), elements)
+    if traceless:
+        projected = projected - (np.trace(projected) / d) * np.eye(d)
+    h = (projected + projected.conj().T) / 2
+    if np.linalg.norm(h) <= WEIGHT_PART_RTOL * np.linalg.norm(w):
+        kind = "non-scalar component" if traceless else "component"
+        raise ArithmeticError(f"the fixed weight has no {kind} in the span")
+    return h
 
 
 def haar_unitary(d: int, seed) -> np.ndarray:

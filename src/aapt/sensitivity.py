@@ -48,17 +48,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duality import state_to_map
-from .linalg import RankEvidence, _rng, _svd_nullspace, act_on_first, as_operator, gap_ratio, read_only, unvec
+from .linalg import RankEvidence, _svd_nullspace, act_on_first, as_operator, read_only, unvec, weight_in_span
 from .states import BipartiteState, orient
 
 CHANNEL_CLASSES = ("unitary", "unital")
 PCQ_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 EIGENVALUE_CLUSTER_RTOL = 1e-8
-SCALAR_PART_RTOL = 1e-8
 SCHMIDT_DROP_RTOL = 1e-13
 DROPPED_MASS_RTOL = 1e-3
-PCQ_WEIGHT_SEED = 20220101
 
 
 @dataclass(frozen=True)
@@ -123,13 +121,7 @@ class SensitivityCertificate:
     channel_class: str
     nullity: int
     pcq_measurement: ProjectiveMeasurement | None
-    tol: float
-    smallest_kept: float
-    largest_dropped: float
-
-    @property
-    def gap_ratio(self) -> float:
-        return gap_ratio(self.smallest_kept, self.largest_dropped)
+    evidence: RankEvidence
 
 
 def _commutator_matrix(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -206,22 +198,11 @@ def commutant_basis(state: BipartiteState, side: str = "A", tol: float = 0.0) ->
 def _nonscalar_hermitian(elements: tuple[np.ndarray, ...], d: int) -> np.ndarray:
     """A traceless Hermitian operator in the commutant span, independent of the spanning basis.
 
-    Projects a fixed generic Hermitian weight W (a GUE draw from a fixed
-    seed) onto the span (sum_i <E_i, W> E_i over the orthonormal elements),
-    strips the trace and takes the Hermitian part.  The commutant of a
-    Hermitian state is closed under adjoints, so the projection of a
-    Hermitian W is already Hermitian up to rounding.
+    The fixed weight of :func:`aapt.linalg.weight_in_span`, projected onto
+    the span with its trace removed.  The commutant of a Hermitian state is
+    closed under adjoints, so the projection is Hermitian up to rounding.
     """
-    g = _rng(PCQ_WEIGHT_SEED)
-    z = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
-    w = (z + z.conj().T) / 2
-    stack = np.stack(elements)
-    projected = np.einsum("k,kij->ij", np.einsum("kij,ij->k", stack.conj(), w), stack)
-    perp = projected - (np.trace(projected) / d) * np.eye(d)
-    h = (perp + perp.conj().T) / 2
-    if np.linalg.norm(h) <= SCALAR_PART_RTOL * np.linalg.norm(w):
-        raise ArithmeticError("the fixed weight has no non-scalar component in the commutant")
-    return h
+    return weight_in_span(np.stack(elements), d, traceless=True)
 
 
 def _eigenprojectors(h: np.ndarray) -> list[np.ndarray]:
@@ -306,9 +287,7 @@ def certify_sensitive(
         channel_class=channel_class,
         nullity=basis.nullity,
         pcq_measurement=measurement,
-        tol=basis.tol,
-        smallest_kept=basis.evidence.smallest_kept,
-        largest_dropped=basis.evidence.largest_dropped,
+        evidence=basis.evidence,
     )
 
 

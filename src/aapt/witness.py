@@ -12,11 +12,16 @@ it can be rescaled into a difference of two genuine channels:
     K1    = Kraus { sqrt(-lambda_i / alpha) V_i : lambda_i < 0 } u { M / sqrt(alpha) },
 
 with D = alpha (K0 - K1).  For a state that fails the faithfulness rank test
-this turns the rank deficiency into a concrete pair of channels: pick a
-Hermitian functional E orthogonal to the image of the state's B -> A map, a
-traceless Hermitian G, and decompose D(X) = <E, X> G.  The resulting channels
-differ (their Choi matrices are far apart) yet produce identical outputs on
-the probe, which is exactly the information the probe cannot see.
+this turns the rank deficiency into a concrete pair of channels, read from
+the same decision the certificate makes: the right singular vectors past the
+certificate's rank span the operators orthogonal to the image of the state's
+B -> A map.  E is the Hermitian projection onto that span of one fixed
+generic weight (the one the PC-Q measurement also uses), G the traceless part
+of E, and D(X) = <E, X> G is decomposed.  The span is fixed by the rank
+decision alone, so E, G and D do not depend on which basis the SVD returns
+for a degenerate cokernel.  The resulting channels differ (their Choi
+matrices are far apart) yet produce identical outputs on the probe, which is
+exactly the information the probe cannot see.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, apply_on_A
-from .duality import TransferMatrix, certify_faithful, hermitian_coordinates, restrict_support, state_to_map
-from .linalg import _evidence, hermitian_basis, unvec, vec
-from .states import BipartiteState, orient
+from .duality import TransferMatrix, _decide_faithful
+from .linalg import unvec, vec, weight_in_span
+from .states import BipartiteState
 
 HERMITIAN_CHOI_TOL = 1e-12
 TRACE_ANNIHILATION_TOL = 1e-10
@@ -52,9 +57,7 @@ class HermitianPreservingMap:
     trace_annihilating: bool = False
 
     def __post_init__(self):
-        c = self.transfer.choi()
-        scale = max(1.0, float(np.linalg.norm(c)))
-        if np.linalg.norm(c - c.conj().T) > HERMITIAN_CHOI_TOL * scale:
+        if not self.transfer.is_hermitian_preserving(HERMITIAN_CHOI_TOL):
             raise ValueError("map is not Hermitian preserving (its Choi matrix is not Hermitian)")
         if self.trace_annihilating:
             _check_trace_annihilating(self)
@@ -172,34 +175,29 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     """Explicit channel pair a non-faithful probe cannot distinguish.
 
     Returns None exactly when :func:`certify_faithful` holds on the chosen
-    side.  Otherwise the construction picks a unit Hermitian E orthogonal to
-    the image of the probe's map into that side, a unit traceless Hermitian
-    G, and decomposes D(X) = <E, X> G into channels.  D kills the whole
-    image, so the two channels agree on the probe; their Choi matrices are
-    E^T (x) G apart (scaled by 1/alpha), which keeps the channel gap
-    macroscopic.  The state is support-restricted first, matching the
-    certificate; the returned channels act on the restricted side.
+    side, since both read the same rank decision.  Otherwise the rows of
+    ``vh`` past the certificate's rank, in the full SVD of the matrix that
+    decision was read from, span the operators orthogonal to the image of
+    the probe's map into that side.  E is the projection onto that span of
+    the fixed Hermitian weight the PC-Q measurement also uses (see
+    :func:`aapt.linalg.weight_in_span`), normalized, and G its traceless
+    part, normalized; D(X) = <E, X> G is decomposed into channels.  D kills
+    the whole image, so the two channels agree on the probe; their Choi
+    matrices are E^T (x) G apart (scaled by 1/alpha), which keeps the
+    channel gap macroscopic.  The state is support-restricted first,
+    matching the certificate; the returned channels act on the restricted
+    side.
     """
-    cert = certify_faithful(state, side, tol)
+    cert, work, matrix = _decide_faithful(state, side, tol)
     if cert.faithful:
         return None
-    work = orient(restrict_support(state), side)
     da = work.dim_a
-    image_coords = hermitian_coordinates(state_to_map(work, "b_to_a"))
-    u, s, _ = np.linalg.svd(image_coords)
-    rank = _evidence(image_coords.shape, s, tol).rank
-    if rank >= da * da:
-        raise ArithmeticError("rank certificate and image computation disagree; cannot build a witness")
-    basis_a = hermitian_basis(da)
-    e_op = np.tensordot(u[:, rank], np.array(basis_a), axes=1)
+    _, _, vh = np.linalg.svd(matrix)
+    e_op = weight_in_span(np.stack([unvec(row, (da, da)) for row in vh[cert.rank :]]), da)
+    e_op = e_op / np.linalg.norm(e_op)
+    # E is orthogonal to the marginal, which lies in the image, so ||G|| >= 1/sqrt(da + 1)
     g_op = e_op - (np.trace(e_op) / da) * np.eye(da)
-    g_norm = float(np.linalg.norm(g_op))
-    if g_norm <= 1e-12:
-        # unreachable for state-induced maps (the image never misses the
-        # identity direction entirely), kept as a deterministic fallback
-        g_op = basis_a[1]
-    else:
-        g_op = g_op / g_norm
+    g_op = g_op / np.linalg.norm(g_op)
     t_d = np.outer(vec(g_op), vec(e_op.T))
     hp = HermitianPreservingMap(TransferMatrix(da, da, t_d), trace_annihilating=True)
     alpha, k0, k1 = decompose_channel_difference(hp)

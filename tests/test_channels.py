@@ -307,3 +307,9 @@ class TestSwapSidesDoesNotRevalidate:
         assert swapped.dims == dims[::-1]
         assert np.array_equal(swapped.matrix, state.matrix)
         assert not swapped.matrix.flags.writeable
+
+
+class TestFromKraus:
+    def test_an_empty_kraus_list_is_refused_with_a_value_error(self):
+        with pytest.raises(ValueError, match="need at least one Kraus operator"):
+            Channel.from_kraus([])

@@ -1,5 +1,6 @@
 import numpy as np
 
+from aapt import cli
 from aapt import Channel, TransferMatrix, classify, random_cptp, unitary_faithful_state
 from aapt.documents import (
     channel_document,
@@ -196,3 +197,18 @@ class TestPipelineDeterminism:
                 assert failure is None, failure
         for stem in ("prod", "cert", "k0", "k1"):
             assert (tmp_path / f"{stem}_x.json").read_bytes() == (tmp_path / f"{stem}_y.json").read_bytes()
+
+
+class TestParser:
+    def test_the_parser_is_built_once_per_process(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_a_usage_error_leaves_the_next_call_unchanged(self, capsys):
+        argv = ["gen", "random", "--da", "2", "--db", "3", "--seed", "4"]
+        assert cli.main(argv) == 0
+        first = capsys.readouterr().out
+        assert cli.main(["gen", "random", "--da", "two"]) == 2
+        assert cli.main(["certify", "probe.json"]) == 2
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == first
