@@ -71,12 +71,13 @@ def choi_to_transfer(c, dim_in: int, dim_out: int) -> np.ndarray:
     return c4.transpose(3, 1, 2, 0).reshape(dim_out * dim_out, dim_in * dim_in)
 
 
-def choi_to_kraus(c, dim_in: int, dim_out: int, tol: float = 0.0) -> tuple[np.ndarray, ...]:
+def choi_to_kraus(c, dim_in: int, dim_out: int) -> tuple[np.ndarray, ...]:
     """Kraus operators from the eigendecomposition of a PSD Choi matrix.
 
-    Eigenvectors with eigenvalue below the cutoff are dropped; an eigenvalue
-    more negative than the CP tolerance means the map is not completely
-    positive and no Kraus form exists.
+    Eigenvectors with eigenvalue at most 1e-12 * n * max(1, max |eigenvalue|),
+    n = dim_in * dim_out, are dropped; an eigenvalue more negative than the
+    CP tolerance means the map is not completely positive and no Kraus form
+    exists.
     """
     c = as_operator(c)
     n = dim_in * dim_out
@@ -86,7 +87,7 @@ def choi_to_kraus(c, dim_in: int, dim_out: int, tol: float = 0.0) -> tuple[np.nd
     scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
     if w.size and w[0] < -CP_TOL * scale:
         raise ValueError(f"Choi matrix is not positive semidefinite (min eigenvalue {w[0]:.3e}); the map is not CP")
-    keep = tol if tol > 0 else KRAUS_KEEP_RTOL * n * scale
+    keep = KRAUS_KEEP_RTOL * n * scale
     ops = [math.sqrt(w[i]) * unvec(q[:, i], (dim_out, dim_in)) for i in range(w.size) if w[i] > keep]
     if not ops:
         ops = [np.zeros((dim_out, dim_in), dtype=complex)]
@@ -154,10 +155,10 @@ class Channel:
     def identity(cls, d: int) -> "Channel":
         return cls.from_kraus([np.eye(d, dtype=complex)])
 
-    def kraus(self, tol: float = 0.0) -> tuple[np.ndarray, ...]:
+    def kraus(self) -> tuple[np.ndarray, ...]:
         if self.kind == "kraus":
             return self._data
-        return choi_to_kraus(self.choi(), self.dim_in, self.dim_out, tol)
+        return choi_to_kraus(self.choi(), self.dim_in, self.dim_out)
 
     def choi(self) -> np.ndarray:
         if self.kind == "kraus":
@@ -174,15 +175,10 @@ class Channel:
         return choi_to_transfer(self._data, self.dim_in, self.dim_out)
 
     def apply(self, m) -> np.ndarray:
-        """Act on a single-system operator."""
+        """Act on a single-system operator, through the transfer matrix."""
         m = as_operator(m)
         if m.shape != (self.dim_in, self.dim_in):
             raise ValueError(f"operator of shape {m.shape} does not match input dimension {self.dim_in}")
-        if self.kind == "kraus":
-            out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-            for k in self._data:
-                out += k @ m @ k.conj().T
-            return out
         return unvec(self.transfer() @ vec(m), (self.dim_out, self.dim_out))
 
     def __repr__(self) -> str:
@@ -200,11 +196,7 @@ def convert(channel: Channel, target: str) -> Channel:
         raise ValueError(f"representation must be one of {_KINDS}, got {target!r}")
     if target == channel.kind:
         return channel
-    if target == "kraus":
-        return Channel.from_kraus(channel.kraus())
-    if target == "choi":
-        return Channel.from_choi(channel.choi(), channel.dim_in, channel.dim_out)
-    return Channel.from_transfer(channel.transfer(), channel.dim_in, channel.dim_out)
+    return Channel(target, getattr(channel, target)(), channel.dim_in, channel.dim_out)
 
 
 @dataclass(frozen=True)

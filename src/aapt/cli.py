@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--lambda", dest="spectrum", type=str, default="", help="comma-separated spectrum for prop4")
     gen.add_argument("--sigmas", choices=("basis", "random"), default="basis", help="B blocks for cq")
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--tol", type=float, default=0.0)
     gen.add_argument("--out", type=Path)
 
     cert = sub.add_parser("certify", help="emit a faithfulness or sensitivity certificate")
@@ -91,7 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     dec = sub.add_parser("decompose", help="split a trace-annihilating map into a channel difference")
     dec.add_argument("transfer", type=Path)
-    dec.add_argument("--tol", type=float, default=0.0)
     dec.add_argument("--out", type=Path, nargs=2, metavar=("K0", "K1"), required=True)
     return parser
 

@@ -31,6 +31,7 @@ from .sensitivity import SensitivityCertificate
 from .states import BipartiteState
 
 KINDS = ("state", "channel", "transfer", "certificate", "report")
+CPTP_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -156,11 +157,12 @@ def channel_document(channel: Channel, meta: dict[str, str] | None = None) -> Ma
     return MatrixDocument("channel", (channel.dim_in, channel.dim_out), channel.choi(), merged)
 
 
-def document_to_channel(doc: MatrixDocument, tol: float = 1e-8) -> Channel:
+def document_to_channel(doc: MatrixDocument) -> Channel:
     """Rebuild a channel from its Choi payload.
 
     Documents flagged ``cptp=true`` in their metadata are re-validated on
-    load and rejected when the Choi matrix fails the CP or TP residuals.
+    load and rejected when the Choi matrix fails the CP or TP residuals
+    at 1e-8.
     """
     if doc.kind != "channel":
         raise ValueError(f"expected a channel document, got kind {doc.kind!r}")
@@ -168,7 +170,7 @@ def document_to_channel(doc: MatrixDocument, tol: float = 1e-8) -> Channel:
         raise ValueError("channel documents carry exactly the input and output dimensions")
     channel = Channel.from_choi(doc.data, doc.dims[0], doc.dims[1])
     if doc.meta.get("cptp") == "true":
-        report = classify(channel, tol)
+        report = classify(channel, CPTP_TOL)
         if not (report.is_cp and report.is_tp):
             raise ValueError(
                 "document claims a CPTP channel but validation failed "
@@ -177,8 +179,8 @@ def document_to_channel(doc: MatrixDocument, tol: float = 1e-8) -> Channel:
     return channel
 
 
-def transfer_document(t: TransferMatrix, meta: dict[str, str] | None = None) -> MatrixDocument:
-    return MatrixDocument("transfer", (t.dim_in, t.dim_out), t.matrix, dict(meta or {}))
+def transfer_document(t: TransferMatrix) -> MatrixDocument:
+    return MatrixDocument("transfer", (t.dim_in, t.dim_out), t.matrix)
 
 
 def document_to_transfer(doc: MatrixDocument) -> TransferMatrix:
@@ -189,8 +191,8 @@ def document_to_transfer(doc: MatrixDocument) -> TransferMatrix:
     return TransferMatrix(doc.dims[0], doc.dims[1], doc.data)
 
 
-def faithfulness_document(cert: FaithfulnessCertificate, meta: dict[str, str] | None = None) -> MatrixDocument:
-    merged = {
+def faithfulness_document(cert: FaithfulnessCertificate) -> MatrixDocument:
+    meta = {
         "mode": "faithful",
         "verdict": "true" if cert.faithful else "false",
         "side": cert.side,
@@ -199,28 +201,26 @@ def faithfulness_document(cert: FaithfulnessCertificate, meta: dict[str, str] | 
         **_cut_meta(cert.evidence),
         "restricted_dims": f"{cert.dims[0]}x{cert.dims[1]}",
         "evidence": "singular_gap",
-        **(meta or {}),
     }
-    return MatrixDocument("certificate", cert.input_dims, _cut_data(cert.evidence), merged)
+    return MatrixDocument("certificate", cert.input_dims, _cut_data(cert.evidence), meta)
 
 
-def sensitivity_document(cert: SensitivityCertificate, dims: tuple[int, int], meta: dict[str, str] | None = None) -> MatrixDocument:
-    merged = {
+def sensitivity_document(cert: SensitivityCertificate, dims: tuple[int, int]) -> MatrixDocument:
+    meta = {
         "mode": "sensitive",
         "verdict": "true" if cert.sensitive else "false",
         "side": cert.side,
         "channel_class": cert.channel_class,
         "nullity": str(cert.nullity),
         **_cut_meta(cert.evidence),
-        **(meta or {}),
     }
     if cert.pcq_measurement is not None:
-        merged["evidence"] = "pcq_projectors"
+        meta["evidence"] = "pcq_projectors"
         data = np.stack(cert.pcq_measurement.projectors)
     else:
-        merged["evidence"] = "singular_gap"
+        meta["evidence"] = "singular_gap"
         data = _cut_data(cert.evidence)
-    return MatrixDocument("certificate", dims, data, merged)
+    return MatrixDocument("certificate", dims, data, meta)
 
 
 def report_document(report: ReconstructionReport, meta: dict[str, str] | None = None) -> MatrixDocument:

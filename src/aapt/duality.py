@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import choi_to_transfer, transfer_to_choi
 from .linalg import RankEvidence, as_operator, hermitian_basis, rank_evidence, read_only, tensor, unvec, vec
-from .states import BipartiteState, orient
+from .states import HERMITIAN_TOL, BipartiteState, orient
 
 DIRECTIONS = ("a_to_b", "b_to_a")
 SUPPORT_TOL = 1e-12
@@ -46,6 +46,8 @@ class TransferMatrix:
         expected = (self.dim_out * self.dim_out, self.dim_in * self.dim_in)
         if m.shape != expected:
             raise ValueError(f"transfer matrix must have shape {expected}, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("transfer matrix has non-finite entries (NaN or inf)")
         object.__setattr__(self, "matrix", read_only(m))
 
     def apply(self, m) -> np.ndarray:
@@ -58,24 +60,24 @@ class TransferMatrix:
     def choi(self) -> np.ndarray:
         return transfer_to_choi(self.matrix, self.dim_in, self.dim_out)
 
-    def is_hermitian_preserving(self, tol: float = 1e-12) -> bool:
+    def is_hermitian_preserving(self) -> bool:
+        """Whether the Choi matrix is Hermitian, under the relative rule states are checked with."""
         c = self.choi()
-        return bool(np.linalg.norm(c - c.conj().T) <= tol * max(1.0, np.linalg.norm(c)))
+        return bool(np.linalg.norm(c - c.conj().T) <= HERMITIAN_TOL * max(1.0, np.linalg.norm(c)))
 
 
 def state_to_map(state: BipartiteState, direction: str = "a_to_b") -> TransferMatrix:
     """Transfer matrix of the map a bipartite state induces between its sides.
 
     For ``a_to_b`` the state matrix, viewed as a Choi matrix with A as input
-    and B as output, is reshuffled into the transfer form; ``b_to_a`` uses
-    the mirrored permutation.  The two results are transposes of each other.
+    and B as output, is reshuffled into the transfer form; ``b_to_a`` is its
+    transpose.
     """
     da, db = state.dims
     if direction == "a_to_b":
         return TransferMatrix(da, db, choi_to_transfer(state.matrix, da, db))
     if direction == "b_to_a":
-        r4 = state.matrix.reshape(da, db, da, db)
-        return TransferMatrix(db, da, r4.transpose(2, 0, 3, 1).reshape(da * da, db * db))
+        return TransferMatrix(db, da, choi_to_transfer(state.matrix, da, db).T)
     raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
@@ -87,35 +89,33 @@ def map_to_state(t: TransferMatrix, dims: tuple[int, int], direction: str = "a_t
     """
     da, db = int(dims[0]), int(dims[1])
     if direction == "a_to_b":
-        if (t.dim_in, t.dim_out) != (da, db):
-            raise ValueError(f"transfer dims {t.dim_in} -> {t.dim_out} do not match state dims {dims}")
-        m = transfer_to_choi(t.matrix, da, db)
+        expected, m = (da, db), t.matrix
     elif direction == "b_to_a":
-        if (t.dim_in, t.dim_out) != (db, da):
-            raise ValueError(f"transfer dims {t.dim_in} -> {t.dim_out} do not match state dims {dims}")
-        t4 = t.matrix.reshape(da, da, db, db)
-        m = t4.transpose(1, 3, 0, 2).reshape(da * db, da * db)
+        expected, m = (db, da), t.matrix.T
     else:
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    return BipartiteState(m, da, db)
+    if (t.dim_in, t.dim_out) != expected:
+        raise ValueError(f"transfer dims {t.dim_in} -> {t.dim_out} do not match state dims {dims}")
+    return BipartiteState(transfer_to_choi(m, da, db), da, db)
 
 
-def _support_isometry(marginal: np.ndarray, tol: float) -> np.ndarray:
+def _support_isometry(marginal: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh((marginal + marginal.conj().T) / 2)
-    keep = w > tol
+    keep = w > SUPPORT_TOL
     # columns ordered by descending eigenvalue for a deterministic basis
     return v[:, keep][:, ::-1]
 
 
-def restrict_support(state: BipartiteState, tol: float = SUPPORT_TOL) -> BipartiteState:
+def restrict_support(state: BipartiteState) -> BipartiteState:
     """Project both sides onto the supports of their marginals.
 
-    States whose marginals are already full rank are returned unchanged.
+    A marginal's support is spanned by its eigenvectors with eigenvalue above
+    1e-12.  States whose marginals are already full rank are returned unchanged.
     Otherwise the state is compressed onto the support eigenbases and
     renormalized, so the output has full-rank marginals on both sides.
     """
-    pa = _support_isometry(state.marginal("A"), tol)
-    pb = _support_isometry(state.marginal("B"), tol)
+    pa = _support_isometry(state.marginal("A"))
+    pb = _support_isometry(state.marginal("B"))
     if pa.shape[1] == state.dim_a and pb.shape[1] == state.dim_b:
         return state
     iso = tensor(pa, pb)
@@ -176,7 +176,7 @@ def certify_faithful(state: BipartiteState, side: str = "A", tol: float = 0.0) -
     return _decide_faithful(state, side, tol)[0]
 
 
-def hermitian_restricted_rank(t: TransferMatrix, tol: float = 0.0) -> int:
+def hermitian_restricted_rank(t: TransferMatrix) -> int:
     """Real rank of a map restricted to Hermitian operators.
 
     The map is expressed in orthonormal Hermitian bases of its input and
@@ -186,4 +186,4 @@ def hermitian_restricted_rank(t: TransferMatrix, tol: float = 0.0) -> int:
     the full transfer matrix.
     """
     f_in, f_out = (np.stack([vec(b) for b in hermitian_basis(d)], axis=1) for d in (t.dim_in, t.dim_out))
-    return rank_evidence((f_out.conj().T @ t.matrix @ f_in).real, tol).rank
+    return rank_evidence((f_out.conj().T @ t.matrix @ f_in).real).rank

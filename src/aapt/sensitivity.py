@@ -65,14 +65,21 @@ class CommutantBasis:
 
     ``elements`` are Hilbert-Schmidt orthonormal operators on the selected
     side spanning the null space of M -> [M (x) 1, rho]; the scaled identity
-    always lies in their span, so ``nullity >= 1``.
+    always lies in their span, so ``nullity >= 1``.  ``evidence`` is the
+    rank decision the null space was cut at.
     """
 
     side: str
     elements: tuple[np.ndarray, ...]
-    nullity: int
-    tol: float
     evidence: RankEvidence
+
+    @property
+    def nullity(self) -> int:
+        return len(self.elements)
+
+    @property
+    def tol(self) -> float:
+        return self.evidence.tol
 
 
 @dataclass(frozen=True)
@@ -192,7 +199,7 @@ def commutant_basis(state: BipartiteState, side: str = "A", tol: float = 0.0) ->
     ev, null_vectors = _commutant_nullspace(work, tol)
     d = work.dim_a
     elements = tuple(unvec(null_vectors[:, i], (d, d)) for i in range(null_vectors.shape[1]))
-    return CommutantBasis(side=side, elements=elements, nullity=len(elements), tol=ev.tol, evidence=ev)
+    return CommutantBasis(side=side, elements=elements, evidence=ev)
 
 
 def _nonscalar_hermitian(elements: tuple[np.ndarray, ...], d: int) -> np.ndarray:

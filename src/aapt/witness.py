@@ -36,7 +36,6 @@ from .duality import TransferMatrix, _decide_faithful
 from .linalg import unvec, vec, weight_in_span
 from .states import BipartiteState
 
-HERMITIAN_CHOI_TOL = 1e-12
 TRACE_ANNIHILATION_TOL = 1e-10
 TERM_DROP_RTOL = 1e-12
 OUTPUT_GAP_TOL = 1e-9
@@ -57,7 +56,7 @@ class HermitianPreservingMap:
     trace_annihilating: bool = False
 
     def __post_init__(self):
-        if not self.transfer.is_hermitian_preserving(HERMITIAN_CHOI_TOL):
+        if not self.transfer.is_hermitian_preserving():
             raise ValueError("map is not Hermitian preserving (its Choi matrix is not Hermitian)")
         if self.trace_annihilating:
             _check_trace_annihilating(self)

@@ -183,6 +183,39 @@ class TestDecompose:
         assert run_cli("decompose", "ident.json", "--out", "a.json", "b.json", cwd=tmp_path).returncode == 2
 
 
+class TestToleranceFlags:
+    """Only certify, witness and reconstruct take --tol, and each of them reads it."""
+
+    def test_gen_has_no_tol(self, tmp_path):
+        result = run_cli("gen", "random", "--tol", "0.1", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+
+    def test_decompose_has_no_tol(self, tmp_path):
+        c1 = random_cptp(2, 2, seed=22)
+        c2 = random_cptp(2, 3, seed=23)
+        save(transfer_document(TransferMatrix(2, 2, 0.3 * (c1.transfer() - c2.transfer()))), tmp_path / "d.json")
+        result = run_cli("decompose", "d.json", "--tol", "0", "--out", "a.json", "b.json", cwd=tmp_path)
+        assert result.returncode == 2
+        assert "unrecognized arguments" in result.stderr
+        assert not (tmp_path / "a.json").exists()
+
+    def test_witness_reads_tol(self, tmp_path):
+        # every singular value of the d = 2 maximally entangled map is 1/2, so a 0.6 cut leaves rank 0
+        run_cli("gen", "max-entangled", "--d", "2", "--out", "probe.json", cwd=tmp_path)
+        assert run_cli("witness", "probe.json", "--out", "k0.json", "k1.json", cwd=tmp_path).returncode == 1
+        result = run_cli("witness", "probe.json", "--tol", "0.6", "--out", "k0.json", "k1.json", cwd=tmp_path)
+        assert result.returncode == 3
+        assert "numerical failure" in result.stderr
+
+    def test_reconstruct_reads_tol(self, tmp_path):
+        run_cli("gen", "max-entangled", "--d", "2", "--out", "probe.json", cwd=tmp_path)
+        assert run_cli("reconstruct", "probe.json", "probe.json", cwd=tmp_path).returncode == 0
+        result = run_cli("reconstruct", "probe.json", "probe.json", "--tol", "0.6", cwd=tmp_path)
+        assert result.returncode == 1
+        assert "not faithful" in result.stderr
+
+
 class TestPipelineDeterminism:
     def test_full_pipeline_is_byte_identical_across_runs(self, tmp_path):
         for tag in ("x", "y"):

@@ -3,6 +3,7 @@ import pytest
 
 from aapt import (
     BipartiteState,
+    HermitianPreservingMap,
     TransferMatrix,
     apply_on_A,
     certify_faithful,
@@ -13,6 +14,7 @@ from aapt import (
     partial_trace,
     product_state,
     random_cptp,
+    random_cq_state,
     random_density,
     random_state,
     rank_evidence,
@@ -90,6 +92,40 @@ class TestMapToState:
     def test_zero_map_rejected(self):
         with pytest.raises(ValueError):
             map_to_state(TransferMatrix(2, 2, np.zeros((4, 4))), (2, 2), "a_to_b")
+
+
+class TestExactRoundTrip:
+    """state_to_map and map_to_state are index permutations, so the round trip is exact."""
+
+    SHAPES = [(1, 1), (1, 3), (3, 1), (2, 2), (2, 3), (3, 2)]
+
+    @staticmethod
+    def states(da, db, seed):
+        yield random_state(da, db, seed=seed)
+        yield product_state(random_density(da, da, seed), random_density(db, db, seed + 1))
+        yield random_cq_state(da, db, seed=seed)
+
+    @pytest.mark.parametrize("direction", ["a_to_b", "b_to_a"])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_round_trip_is_bit_exact(self, shape, direction):
+        for seed in range(3):
+            for state in self.states(*shape, 6100 + 10 * seed):
+                back = map_to_state(state_to_map(state, direction), state.dims, direction)
+                assert back.dims == state.dims
+                assert np.array_equal(back.matrix, state.matrix)
+
+
+class TestTransferMatrixValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_refused(self, bad):
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match=r"transfer matrix has non-finite entries \(NaN or inf\)"):
+            TransferMatrix(2, 2, m)
+
+    def test_hermitian_preserving_map_names_the_non_finite_fault(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            HermitianPreservingMap(TransferMatrix(2, 2, np.full((4, 4), np.nan)))
 
 
 class TestRestrictSupport:

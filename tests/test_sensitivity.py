@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from aapt import (
     BipartiteState,
+    CommutantBasis,
     certify_faithful,
     certify_faithful_to_unitaries,
     certify_sensitive,
@@ -97,6 +99,19 @@ class TestCommutantBasis:
             span = np.column_stack([vec(m) for m in basis.elements])
             residual = target - span @ (span.conj().T @ target)
             assert np.linalg.norm(residual) <= 1e-10, name
+
+
+class TestCommutantBasisFields:
+    def test_fields_are_side_elements_and_evidence(self):
+        assert [f.name for f in dataclasses.fields(CommutantBasis)] == ["side", "elements", "evidence"]
+
+    def test_nullity_and_tol_read_the_elements_and_the_evidence(self):
+        blocks = [random_density(2, 2, seed=80 + i) for i in range(3)]
+        basis = commutant_basis(cq_state([0.5, 0.3, 0.2], blocks), tol=1e-9)
+        assert basis.nullity == len(basis.elements) >= 3
+        assert basis.tol == basis.evidence.tol == 1e-9
+        with pytest.raises(AttributeError):
+            basis.nullity = 1
 
 
 class TestCertifySensitive:
