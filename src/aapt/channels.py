@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, act_on_first, as_operator, haar_unitary, partial_trace, read_only, unvec, vec
+from .linalg import _rng, as_operator, haar_unitary, partial_trace, read_only, unvec, vec
 from .states import BipartiteState, swap_sides
 
 _KINDS = ("kraus", "choi", "transfer")
@@ -35,6 +35,8 @@ KRAUS_KEEP_RTOL = 1e-12
 def kraus_to_choi(ops) -> np.ndarray:
     """Choi matrix sum_i vec(K_i) vec(K_i)^dag of a Kraus family."""
     vs = [vec(as_operator(k)) for k in ops]
+    if not vs:
+        raise ValueError("need at least one Kraus operator")
     n = vs[0].size
     out = np.zeros((n, n), dtype=complex)
     for v in vs:
@@ -43,13 +45,10 @@ def kraus_to_choi(ops) -> np.ndarray:
 
 
 def kraus_to_transfer(ops) -> np.ndarray:
-    """Transfer matrix sum_i conj(K_i) (x) K_i of a Kraus family."""
+    """Transfer matrix sum_i conj(K_i) (x) K_i of a Kraus family, reshuffled from its Choi matrix."""
     ops = [as_operator(k) for k in ops]
-    rows, cols = ops[0].shape
-    out = np.zeros((rows * rows, cols * cols), dtype=complex)
-    for k in ops:
-        out += np.kron(k.conj(), k)
-    return out
+    # kraus_to_choi refuses an empty family before ops[0] is read
+    return choi_to_transfer(kraus_to_choi(ops), *ops[0].shape[::-1])
 
 
 def transfer_to_choi(t, dim_in: int, dim_out: int) -> np.ndarray:
@@ -69,6 +68,17 @@ def choi_to_transfer(c, dim_in: int, dim_out: int) -> np.ndarray:
         raise ValueError(f"Choi matrix of shape {c.shape} does not match dims {dim_in} -> {dim_out}")
     c4 = c.reshape(dim_in, dim_out, dim_in, dim_out)
     return c4.transpose(3, 1, 2, 0).reshape(dim_out * dim_out, dim_in * dim_in)
+
+
+def act_on_first(t: np.ndarray, m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """(T (x) id_B) m for a transfer matrix T on the first factor of ``dims``.
+
+    The transposed reshuffle of m is its B -> A map, as for a state (see
+    :mod:`aapt.duality`).  T composes with that map and the product is
+    reshuffled back, so J_out = T J_in is the one way a map acts on an
+    operator; ``dims = (d, 1)`` acts on a single d x d operator.
+    """
+    return transfer_to_choi((t @ choi_to_transfer(m, *dims).T).T, math.isqrt(t.shape[0]), dims[1])
 
 
 def choi_to_kraus(c, dim_in: int, dim_out: int) -> tuple[np.ndarray, ...]:
@@ -99,7 +109,8 @@ class Channel:
 
     The other representations are converted on every call and nothing is
     cached: ``kraus()`` on a Choi-form channel runs an eigendecomposition
-    each time, and so does every ``apply_on_A`` / ``apply_on_B`` with it.
+    each time.  Acting on an operator needs only the transfer matrix, an
+    entry permutation of the Choi matrix, so no action decomposes.
     """
 
     __slots__ = ("kind", "dim_in", "dim_out", "_data")
@@ -168,18 +179,16 @@ class Channel:
         return transfer_to_choi(self._data, self.dim_in, self.dim_out)
 
     def transfer(self) -> np.ndarray:
-        if self.kind == "kraus":
-            return kraus_to_transfer(self._data)
         if self.kind == "transfer":
             return self._data.copy()
-        return choi_to_transfer(self._data, self.dim_in, self.dim_out)
+        return choi_to_transfer(self.choi(), self.dim_in, self.dim_out)
 
     def apply(self, m) -> np.ndarray:
         """Act on a single-system operator, through the transfer matrix."""
         m = as_operator(m)
         if m.shape != (self.dim_in, self.dim_in):
             raise ValueError(f"operator of shape {m.shape} does not match input dimension {self.dim_in}")
-        return unvec(self.transfer() @ vec(m), (self.dim_out, self.dim_out))
+        return act_on_first(self.transfer(), m, (self.dim_in, 1))
 
     def __repr__(self) -> str:
         return f"Channel(kind={self.kind!r}, dim_in={self.dim_in}, dim_out={self.dim_out})"
@@ -244,7 +253,7 @@ def _apply_first_factor(channel: Channel, state: BipartiteState) -> BipartiteSta
             f"channel must map the {da}-dimensional subsystem to itself, "
             f"got {channel.dim_in} -> {channel.dim_out}"
         )
-    return BipartiteState(act_on_first(channel.kraus(), state.matrix, state.dims), da, db)
+    return BipartiteState(act_on_first(channel.transfer(), state.matrix, state.dims), da, db)
 
 
 def apply_on_A(channel: Channel, state: BipartiteState) -> BipartiteState:

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import choi_to_transfer, transfer_to_choi
-from .linalg import RankEvidence, as_operator, hermitian_basis, rank_evidence, read_only, tensor, unvec, vec
+from .channels import act_on_first, choi_to_transfer, transfer_to_choi
+from .linalg import RankEvidence, as_operator, hermitian_basis, rank_evidence, read_only, tensor, vec
 from .states import HERMITIAN_TOL, BipartiteState, orient
 
 DIRECTIONS = ("a_to_b", "b_to_a")
@@ -55,7 +55,7 @@ class TransferMatrix:
         m = as_operator(m)
         if m.shape != (self.dim_in, self.dim_in):
             raise ValueError(f"operator of shape {m.shape} does not match input dimension {self.dim_in}")
-        return unvec(self.matrix @ vec(m), (self.dim_out, self.dim_out))
+        return act_on_first(self.matrix, m, (self.dim_in, 1))
 
     def choi(self) -> np.ndarray:
         return transfer_to_choi(self.matrix, self.dim_in, self.dim_out)

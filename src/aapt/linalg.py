@@ -9,9 +9,9 @@ sits at position ``i * dim_b + j``.
 
 Rank decisions follow a single tolerance rule: a singular value counts as
 nonzero when it exceeds ``max(rows, cols) * s_max * 1e-12``, unless the
-caller supplies a positive tolerance.  Certificates built on top of these
-routines keep the singular values around the cut so the decision can be
-audited afterwards.
+caller supplies a positive tolerance; a negative or non-finite one is
+refused.  Certificates built on top of these routines keep the singular
+values around the cut so the decision can be audited afterwards.
 
 Null spaces are read from ``s`` and ``vh`` alone.  A tall matrix is first
 reduced to the square ``R`` of its QR factorization (``mode="r"``, so no
@@ -91,21 +91,6 @@ def read_only(m: np.ndarray) -> np.ndarray:
     return frozen
 
 
-def act_on_first(ops, m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """sum_k (K_k (x) 1_B) m (K_k (x) 1_B)^dag for operators K_k on the first factor.
-
-    Each ``K_k (x) 1_B`` is built densely and multiplied out.  A reshape and
-    ``einsum`` kernel computes the same sum with other rounding, which moves
-    serialized documents in their last digits.
-    """
-    eye_b = np.eye(dims[1], dtype=complex)
-    out = np.zeros_like(m)
-    for k in ops:
-        big = tensor(k, eye_b)
-        out += big @ m @ big.conj().T
-    return out
-
-
 def _split(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     da, db = int(dims[0]), int(dims[1])
     if da < 1 or db < 1:
@@ -170,8 +155,8 @@ def default_rank_tol(shape: tuple[int, int], s_max: float) -> float:
 
 
 def _resolve_tol(shape: tuple[int, int], s: np.ndarray, tol: float) -> float:
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
     if tol > 0:
         return tol
     s_max = float(s[0]) if s.size else 0.0
@@ -220,15 +205,19 @@ def rank_and_nullspace(m, tol: float = 0.0) -> tuple[int, np.ndarray]:
     return ev.rank, basis
 
 
+def _svd_pinv(m: np.ndarray, tol: float) -> tuple[RankEvidence, np.ndarray, np.ndarray]:
+    """Rank evidence, singular values and Moore-Penrose inverse of ``m``, from one thin SVD."""
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    ev = _evidence(m.shape, s, tol)
+    inv_s = np.zeros_like(s)
+    keep = s > ev.tol
+    inv_s[keep] = 1.0 / s[keep]
+    return ev, s, vh.conj().T @ (inv_s[:, None] * u.conj().T)
+
+
 def pseudo_inverse(m, tol: float = 0.0) -> np.ndarray:
     """Moore-Penrose inverse via SVD, using the package-wide tolerance rule."""
-    m = as_operator(m)
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    used = _resolve_tol(m.shape, s, tol)
-    inv_s = np.zeros_like(s)
-    keep = s > used
-    inv_s[keep] = 1.0 / s[keep]
-    return vh.conj().T @ (inv_s[:, None] * u.conj().T)
+    return _svd_pinv(as_operator(m), tol)[2]
 
 
 def weight_in_span(elements: np.ndarray, d: int, traceless: bool = False) -> np.ndarray:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .channels import Channel, apply_on_A, apply_on_B
 from .duality import state_to_map
-from .linalg import _evidence, partial_trace, pseudo_inverse
+from .linalg import _svd_pinv, partial_trace
 from .states import BipartiteState, orient
 
 
@@ -71,15 +71,13 @@ def reconstruct_channel(
 
 def _invert_probe(probe_w: BipartiteState, side: str, tol: float) -> tuple[np.ndarray, float]:
     """Right pseudo-inverse of the oriented probe's B -> A map, and its condition number."""
-    j_in = state_to_map(probe_w, "b_to_a").matrix
-    s = np.linalg.svd(j_in, compute_uv=False)
-    rank = _evidence(j_in.shape, s, tol).rank
+    ev, s, inverse = _svd_pinv(state_to_map(probe_w, "b_to_a").matrix, tol)
     required = probe_w.dim_a**2
-    if rank < required:
+    if ev.rank < required:
         raise NotFaithfulProbeError(
-            f"probe is not faithful on {side} (map rank {rank} < {required}); reconstruction refused"
+            f"probe is not faithful on {side} (map rank {ev.rank} < {required}); reconstruction refused"
         )
-    return pseudo_inverse(j_in, tol), float(s[0] / s[required - 1])
+    return inverse, float(s[0] / s[required - 1])
 
 
 def _recover(
@@ -136,8 +134,8 @@ def noise_stress(
     trials.  A 1x1 state has no traceless perturbation, so it takes only
     ``noise=0``.
     """
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
     if trials < 1:
         raise ValueError("need at least one trial")
     if noise > 0 and probe.matrix.shape[0] == 1:

@@ -24,11 +24,12 @@ rho = sum_k s_k A_k (x) B_k with the B_k Hilbert-Schmidt orthonormal, so
 
 and the stack of the ``s_k ad(A_k)`` has exactly the singular values of the
 ``n^2 x d_A^2`` commutator matrix K with only ``r d_A^2`` rows, r the
-operator-Schmidt rank.  The stack replaces K when r < d_B^2; otherwise it
-would be no smaller, and K itself is decomposed.  Terms are dropped only at
-s_k <= 1e-13 s_0, and a check after the SVD keeps the stack only when the
-dropped terms move K's singular values by at most 1e-3 of the rank
-tolerance; otherwise K is decomposed after all.  That check also sends a K
+operator-Schmidt rank.  K is the same stack over the matrix units of B
+(rows reordered), so one builder serves both.  The stack replaces K when
+r < d_B^2; otherwise it would be no smaller, and K itself is decomposed.
+Terms are dropped only at s_k <= 1e-13 s_0, and a check after the SVD
+keeps the stack only when the dropped terms move K's singular values by at
+most 1e-3 of the rank tolerance; otherwise K is decomposed after all.  That check also sends a K
 that vanishes exactly (rho = 1/d_A (x) sigma) back to K: the stack's own
 rounding then sets its tolerance, and the dropped rounding-level terms
 exceed a thousandth of it.  The tolerance is always computed with K's
@@ -47,8 +48,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import act_on_first, kraus_to_transfer
 from .duality import state_to_map
-from .linalg import RankEvidence, _svd_nullspace, act_on_first, as_operator, read_only, unvec, weight_in_span
+from .linalg import RankEvidence, _svd_nullspace, as_operator, read_only, unvec, weight_in_span
 from .states import BipartiteState, orient
 
 CHANNEL_CLASSES = ("unitary", "unital")
@@ -136,20 +138,16 @@ def _commutator_matrix(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
     Column ``c * da + r`` is vec of the commutator with the matrix unit E_rc.
     vec stacks columns, so a row index splits as ``(a', b', a, b)`` for the
-    commutator entry at row ``(a, b)``, column ``(a', b')``.  Both products
-    with ``E_rc (x) 1`` only move entries of rho, so they are placed by
-    slice assignment rather than multiplied out.
+    commutator entry at row ``(a, b)``, column ``(a', b')``.  Writing
+    rho = sum_{b, b'} rho_{bb'} (x) |b><b'| over the matrix units of B, the
+    commutator with M (x) 1 is sum [M, rho_{bb'}] (x) |b><b'|, so K is
+    :func:`_adjoint_stack` of the blocks rho_{bb'} with its rows permuted
+    into that order.
     """
     da, db = dims
-    n = da * db
-    r4 = rho.reshape(da, db, da, db)  # (a, b, a', b')
-    k = np.zeros((da, db, da, db, da, da), dtype=complex)  # (a', b', a, b, c, r)
-    units = np.arange(da)
-    # (E_rc (x) 1) rho: nonzero where a == r, entry rho[(c, b), (a', b')]
-    k[:, :, units, :, :, units] = r4.transpose(2, 3, 1, 0)
-    # rho (E_rc (x) 1): nonzero where a' == c, entry rho[(a, b), (r, b')]
-    k[units, :, :, :, units, :] -= r4.transpose(3, 0, 1, 2)
-    return k.reshape(n * n, da * da)
+    blocks = rho.reshape(da, db, da, db).transpose(0, 2, 3, 1).reshape(da * da, db * db)  # (a, a'), (b', b)
+    k = _adjoint_stack(blocks, da).reshape(db, db, da, da, da, da)  # (b', b, i, j, p, q)
+    return k.transpose(3, 0, 2, 1, 5, 4).reshape(-1, da * da)
 
 
 def _schmidt_terms(work: BipartiteState) -> tuple[np.ndarray, float]:
@@ -170,9 +168,8 @@ def _adjoint_stack(weighted: np.ndarray, d: int) -> np.ndarray:
     """Rows of s_k ad(A_k) = s_k (1 (x) A_k - A_k^T (x) 1) over vectorized M, stacked over k.
 
     Block k, row (i, j), column (p, q) holds delta_ip A_k[j, q] - A_k[p, i] delta_jq.
-    As in :func:`_commutator_matrix` the entries are placed by slice
-    assignment; an ``einsum`` against the identity gives the same bytes but
-    multiplies out every zero.
+    The entries are placed by slice assignment; an ``einsum`` against the
+    identity gives the same bytes but multiplies out every zero.
     """
     at = weighted.T.reshape(-1, d, d)  # (k, p, q) = s_k A_k[q, p]
     out = np.zeros((at.shape[0], d, d, d, d), dtype=complex)  # (k, i, j, p, q)
@@ -240,7 +237,7 @@ def pcq_residual(state: BipartiteState, measurement: ProjectiveMeasurement, side
     the state at all.
     """
     work = orient(state, side)
-    pinched = act_on_first(measurement.projectors, work.matrix, work.dims)
+    pinched = act_on_first(kraus_to_transfer(measurement.projectors), work.matrix, work.dims)
     return float(np.linalg.norm(pinched - work.matrix))
 
 

@@ -20,6 +20,7 @@ from aapt import (
     swap_sides,
     tensor,
 )
+from aapt.channels import kraus_to_choi, kraus_to_transfer
 from aapt.states import BipartiteState, cq_state
 
 from helpers import random_complex
@@ -313,3 +314,10 @@ class TestFromKraus:
     def test_an_empty_kraus_list_is_refused_with_a_value_error(self):
         with pytest.raises(ValueError, match="need at least one Kraus operator"):
             Channel.from_kraus([])
+
+
+class TestEmptyKrausFamily:
+    @pytest.mark.parametrize("convert_family", [kraus_to_choi, kraus_to_transfer])
+    def test_an_empty_family_is_refused_with_a_value_error(self, convert_family):
+        with pytest.raises(ValueError, match="need at least one Kraus operator"):
+            convert_family([])
