@@ -33,15 +33,12 @@ KRAUS_KEEP_RTOL = 1e-12
 
 
 def kraus_to_choi(ops) -> np.ndarray:
-    """Choi matrix sum_i vec(K_i) vec(K_i)^dag of a Kraus family."""
+    """Choi matrix sum_i vec(K_i) vec(K_i)^dag of a Kraus family, as one product V V^dag."""
     vs = [vec(as_operator(k)) for k in ops]
     if not vs:
         raise ValueError("need at least one Kraus operator")
-    n = vs[0].size
-    out = np.zeros((n, n), dtype=complex)
-    for v in vs:
-        out += np.outer(v, v.conj())
-    return out
+    v = np.stack(vs, axis=1)
+    return v @ v.conj().T
 
 
 def kraus_to_transfer(ops) -> np.ndarray:

@@ -67,7 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     cert.add_argument("state", type=Path)
     cert.add_argument("--mode", choices=("faithful", "sensitive"), required=True)
     cert.add_argument("--side", choices=("A", "B"), default="A")
-    cert.add_argument("--class", dest="channel_class", choices=("unitary", "unital"), default="unital")
+    cert.add_argument(
+        "--class", dest="channel_class", choices=("unitary", "unital"), help="sensitive mode only; default unital"
+    )
     cert.add_argument("--tol", type=float, default=0.0)
     cert.add_argument("--out", type=Path)
 
@@ -167,11 +169,13 @@ def _cmd_gen(args) -> int:
 def _cmd_certify(args) -> int:
     state = documents.document_to_state(documents.load(args.state))
     if args.mode == "faithful":
+        if args.channel_class is not None:
+            raise ValueError("--class applies to --mode sensitive only")
         cert = certify_faithful(state, args.side, args.tol)
         verdict = cert.faithful
         doc = documents.faithfulness_document(cert)
     else:
-        cert = certify_sensitive(state, args.side, args.channel_class, args.tol)
+        cert = certify_sensitive(state, args.side, args.channel_class or "unital", args.tol)
         verdict = cert.sensitive
         doc = documents.sensitivity_document(cert, state.dims)
     _emit(doc, args.out)

@@ -154,9 +154,14 @@ def default_rank_tol(shape: tuple[int, int], s_max: float) -> float:
     return max(shape) * s_max * RANK_RTOL
 
 
-def _resolve_tol(shape: tuple[int, int], s: np.ndarray, tol: float) -> float:
+def check_tol(tol: float) -> None:
+    """Refuse a negative or non-finite tolerance."""
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+
+
+def _resolve_tol(shape: tuple[int, int], s: np.ndarray, tol: float) -> float:
+    check_tol(tol)
     if tol > 0:
         return tol
     s_max = float(s[0]) if s.size else 0.0

@@ -35,6 +35,21 @@ rounding then sets its tolerance, and the dropped rounding-level terms
 exceed a thousandth of it.  The tolerance is always computed with K's
 shape, so the rank cut is the same on either route.
 
+At full Schmidt rank (r = d_B^2 >= 2) a cheaper certificate comes first.
+The two-term sub-stack of s_1 ad(A_1) and s_2 ad(A_2) consists of rows of
+K up to a unitary, so by row interlacing its second smallest singular value
+is at most K's, and ad(A) maps the identity to exactly zero.  With the cut
+max(max(n^2, d_A^2) 2 ||rho||_F 1e-12, tol), no lower than K's own since
+||K|| <= 2 ||rho||_F, a second smallest singular value above ten times the
+cut certifies nullity 1 from the sub-stack's singular values alone; the
+certificate is marked ``substack_bound`` and its documents say
+``"evidence": "substack_bound"``.  The factor ten keeps K's own gap ratio
+above the CLI's ambiguity limit, so exit codes do not move.  A skip test
+saves the SVD when it cannot succeed: Courant-Fischer on span{1, M}, M the
+traceless part of A_1, bounds the value by s_2 ||[M, A_2]|| / ||M||, which
+vanishes for commuting Schmidt operators (classical-quantum probes).
+Otherwise, and for every non-sensitive probe, K is decomposed.
+
 The PC-Q measurement comes from one fixed generic Hermitian weight W: its
 orthogonal projection onto the commutant, with the trace removed, is a
 Hermitian commutant element whose spectral projectors give the measurement.
@@ -44,13 +59,24 @@ basis that spans it, so both routes yield the same projectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import act_on_first, kraus_to_transfer
 from .duality import state_to_map
-from .linalg import RankEvidence, _svd_nullspace, as_operator, read_only, unvec, weight_in_span
+from .linalg import (
+    RankEvidence,
+    _svd_nullspace,
+    as_operator,
+    check_tol,
+    default_rank_tol,
+    read_only,
+    unvec,
+    vec,
+    weight_in_span,
+)
 from .states import BipartiteState, orient
 
 CHANNEL_CLASSES = ("unitary", "unital")
@@ -59,6 +85,7 @@ PROJECTOR_TOL = 1e-10
 EIGENVALUE_CLUSTER_RTOL = 1e-8
 SCHMIDT_DROP_RTOL = 1e-13
 DROPPED_MASS_RTOL = 1e-3
+BOUND_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -95,21 +122,24 @@ class ProjectiveMeasurement:
         if not ops:
             raise ValueError("a measurement needs at least one projector")
         d = ops[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for p in ops:
-            if p.shape != (d, d):
-                raise ValueError("all projectors must share one dimension")
-            if np.linalg.norm(p - p.conj().T) > PROJECTOR_TOL:
+        # projectors are checked in order, each for dimension, Hermiticity and idempotence, and the
+        # first failure raises; the stack holds those before the first one of another dimension
+        same = next((i for i, p in enumerate(ops) if p.shape != (d, d)), len(ops))
+        stack = np.stack(ops[:same]) if same else np.zeros((0, d, d), dtype=complex)
+        skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2)) > PROJECTOR_TOL
+        off = np.linalg.norm(stack @ stack - stack, axis=(1, 2)) > PROJECTOR_TOL
+        for not_hermitian, not_idempotent in zip(skew, off):
+            if not_hermitian:
                 raise ValueError("projectors must be Hermitian")
-            if np.linalg.norm(p @ p - p) > PROJECTOR_TOL:
+            if not_idempotent:
                 raise ValueError("projectors must be idempotent")
-            total += p
-        if np.linalg.norm(total - np.eye(d)) > PROJECTOR_TOL:
+        if same < len(ops):
+            raise ValueError("all projectors must share one dimension")
+        if np.linalg.norm(stack.sum(axis=0) - np.eye(d)) > PROJECTOR_TOL:
             raise ValueError("projectors must resolve the identity")
-        for i, p in enumerate(ops):
-            for q in ops[i + 1 :]:
-                if np.linalg.norm(p @ q) > PROJECTOR_TOL:
-                    raise ValueError("projectors must be mutually orthogonal")
+        for i in range(len(ops) - 1):
+            if np.any(np.linalg.norm(stack[i] @ stack[i + 1 :], axis=(1, 2)) > PROJECTOR_TOL):
+                raise ValueError("projectors must be mutually orthogonal")
         object.__setattr__(self, "projectors", tuple(read_only(p) for p in ops))
 
     def __len__(self) -> int:
@@ -122,7 +152,10 @@ class SensitivityCertificate:
 
     ``sensitive`` holds exactly when the commutant nullity is 1.  For a
     non-sensitive state, ``pcq_measurement`` carries a nontrivial projective
-    measurement that leaves the state unperturbed.
+    measurement that leaves the state unperturbed.  ``substack_bound`` marks
+    evidence from the two-term sub-stack: its ``smallest_kept`` is a lower
+    bound on the second smallest singular value of K, and only the exact
+    null direction, the identity, lies below the cut.
     """
 
     sensitive: bool
@@ -131,6 +164,7 @@ class SensitivityCertificate:
     nullity: int
     pcq_measurement: ProjectiveMeasurement | None
     evidence: RankEvidence
+    substack_bound: bool
 
 
 def _commutator_matrix(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -179,24 +213,58 @@ def _adjoint_stack(weighted: np.ndarray, d: int) -> np.ndarray:
     return out.reshape(-1, d * d)
 
 
-def _commutant_nullspace(work: BipartiteState, tol: float) -> tuple[RankEvidence, np.ndarray]:
-    """Rank evidence and null vectors of K, from the operator-Schmidt stack when it is smaller."""
+def _substack_evidence(weighted: np.ndarray, d: int, cut: float) -> RankEvidence | None:
+    """Evidence that K has nullity exactly 1, from its two largest Schmidt terms, or None.
+
+    The sub-stack's second smallest singular value is a lower bound on K's
+    and must exceed ``10 * cut``; the Courant-Fischer bound on it is
+    checked first, so the SVD is skipped when it cannot succeed.
+    """
+    a1, a2 = weighted[:, :2].T.reshape(2, d, d)  # s_k A_k^T
+    m = a1 - (np.trace(a1) / d) * np.eye(d)
+    if np.linalg.norm(m @ a2 - a2 @ m) <= BOUND_MARGIN * cut * np.linalg.norm(m):
+        return None
+    s = np.linalg.svd(_adjoint_stack(weighted[:, :2], d), compute_uv=False)
+    if s[-2] <= BOUND_MARGIN * cut:
+        return None
+    return RankEvidence(d * d - 1, float(s[-2]), 0.0, cut)
+
+
+def _commutant_nullspace(work: BipartiteState, tol: float) -> tuple[RankEvidence, np.ndarray, bool]:
+    """Rank evidence and null vectors of K, and whether the sub-stack bound decided them.
+
+    The operator-Schmidt stack replaces K when it is smaller; at full
+    Schmidt rank the sub-stack bound is tried at a cut no lower than K's,
+    since ||K|| <= 2 ||rho||_F.
+    """
+    check_tol(tol)
     da, db = work.dims
+    shape = ((da * db) ** 2, da * da)
     weighted, moved = _schmidt_terms(work)
     if weighted.shape[1] < db * db:
-        ev, null_vectors = _svd_nullspace(_adjoint_stack(weighted, da), tol, ((da * db) ** 2, da * da))
+        ev, null_vectors = _svd_nullspace(_adjoint_stack(weighted, da), tol, shape)
         if moved <= DROPPED_MASS_RTOL * ev.tol:
-            return ev, null_vectors
-    return _svd_nullspace(_commutator_matrix(work.matrix, work.dims), tol)
+            return ev, null_vectors, False
+    elif weighted.shape[1] >= 2:  # r = d_B^2 >= 2, so d_A >= d_B >= 2
+        cut = max(default_rank_tol(shape, 2.0 * float(np.linalg.norm(work.matrix))), tol)
+        ev = _substack_evidence(weighted, da, cut)
+        if ev is not None:
+            return ev, vec(np.eye(da))[:, None] / math.sqrt(da), True
+    return (*_svd_nullspace(_commutator_matrix(work.matrix, work.dims), tol), False)
+
+
+def _commutant(state: BipartiteState, side: str, tol: float) -> tuple[CommutantBasis, bool]:
+    """The commutant basis, and whether the sub-stack bound decided it."""
+    work = orient(state, side)
+    ev, null_vectors, bound = _commutant_nullspace(work, tol)
+    d = work.dim_a
+    elements = tuple(unvec(null_vectors[:, i], (d, d)) for i in range(null_vectors.shape[1]))
+    return CommutantBasis(side=side, elements=elements, evidence=ev), bound
 
 
 def commutant_basis(state: BipartiteState, side: str = "A", tol: float = 0.0) -> CommutantBasis:
     """Null space of the local commutator map, as operators on the chosen side."""
-    work = orient(state, side)
-    ev, null_vectors = _commutant_nullspace(work, tol)
-    d = work.dim_a
-    elements = tuple(unvec(null_vectors[:, i], (d, d)) for i in range(null_vectors.shape[1]))
-    return CommutantBasis(side=side, elements=elements, evidence=ev)
+    return _commutant(state, side, tol)[0]
 
 
 def _nonscalar_hermitian(elements: tuple[np.ndarray, ...], d: int) -> np.ndarray:
@@ -282,7 +350,7 @@ def certify_sensitive(
     """
     if channel_class not in CHANNEL_CLASSES:
         raise ValueError(f"channel class must be one of {CHANNEL_CLASSES}, got {channel_class!r}")
-    basis = commutant_basis(state, side, tol)
+    basis, bound = _commutant(state, side, tol)
     sensitive = basis.nullity == 1
     measurement = None if sensitive else _extract_from_basis(state, side, basis)
     return SensitivityCertificate(
@@ -292,6 +360,7 @@ def certify_sensitive(
         nullity=basis.nullity,
         pcq_measurement=measurement,
         evidence=basis.evidence,
+        substack_bound=bound,
     )
 
 

@@ -84,7 +84,13 @@ def test_stack_route_matches_the_commutator_matrix(name, side):
     s_k, tol_k, nullity_k, _ = k_oracle(state, side)
     basis = commutant_basis(state, side)
     assert basis.nullity == nullity_k
-    assert basis.tol == pytest.approx(tol_k, rel=1e-13, abs=0.0)
+    if certify_sensitive(state, side).substack_bound:
+        # a lower bound on K's second smallest singular value, cut no lower than K
+        assert tol_k <= basis.tol
+        assert basis.evidence.smallest_kept <= s_k[-2]
+        assert basis.evidence.largest_dropped == 0.0
+    else:
+        assert basis.tol == pytest.approx(tol_k, rel=1e-13, abs=0.0)
     work = orient(state, side)
     weighted, _ = _schmidt_terms(work)
     s_stack = np.linalg.svd(_adjoint_stack(weighted, work.dim_a), compute_uv=False)[: s_k.size]
@@ -107,9 +113,10 @@ def built(monkeypatch):
 def test_the_stack_route_is_taken_for_low_schmidt_rank(built):
     for name in ("product_3x2", "cq_3x2", "unitary_faithful_3"):
         commutant_basis(PROBES[name], "A")
+    commutant_basis(PROBES["random_3x3"], "A")  # Schmidt rank d_B^2: the sub-stack bound decides
     assert built == []
-    commutant_basis(PROBES["random_3x3"], "A")  # Schmidt rank d_B^2: the stack would be no smaller
-    assert built == [(3, 3)]
+    commutant_basis(random_cq_state(4, 2, seed=517), "A")  # full Schmidt rank, not sensitive: only K decides
+    assert built == [(4, 2)]
 
 
 def _correlated_below_the_drop_line(relative):
