@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, as_operator, haar_unitary, partial_trace, read_only, unvec, vec
+from .linalg import _rng, as_operator, haar_unitary, partial_trace, read_only, vec
 from .states import BipartiteState, swap_sides
 
 _KINDS = ("kraus", "choi", "transfer")
@@ -78,6 +78,17 @@ def act_on_first(t: np.ndarray, m: np.ndarray, dims: tuple[int, int]) -> np.ndar
     return transfer_to_choi((t @ choi_to_transfer(m, *dims).T).T, math.isqrt(t.shape[0]), dims[1])
 
 
+def _eigen_terms(c: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the Hermitian part of a Choi matrix, largest first.
+
+    Row i of the second array is eigenvector i unstacked into a
+    ``dim_out x dim_in`` operator, so ``sum_i w_i k_i X k_i^dag`` is the
+    Hermitian part's action on X.
+    """
+    w, q = np.linalg.eigh((c + c.conj().T) / 2)
+    return w[::-1], q.T[::-1].reshape(-1, dim_in, dim_out).transpose(0, 2, 1)
+
+
 def choi_to_kraus(c, dim_in: int, dim_out: int) -> tuple[np.ndarray, ...]:
     """Kraus operators from the eigendecomposition of a PSD Choi matrix.
 
@@ -90,15 +101,13 @@ def choi_to_kraus(c, dim_in: int, dim_out: int) -> tuple[np.ndarray, ...]:
     n = dim_in * dim_out
     if c.shape != (n, n):
         raise ValueError(f"Choi matrix of shape {c.shape} does not match dims {dim_in} -> {dim_out}")
-    w, q = np.linalg.eigh((c + c.conj().T) / 2)
-    scale = max(1.0, float(np.abs(w).max())) if w.size else 1.0
-    if w.size and w[0] < -CP_TOL * scale:
-        raise ValueError(f"Choi matrix is not positive semidefinite (min eigenvalue {w[0]:.3e}); the map is not CP")
+    w, ops = _eigen_terms(c, dim_in, dim_out)
+    scale = max(1.0, float(np.abs(w).max()))
+    if w[-1] < -CP_TOL * scale:
+        raise ValueError(f"Choi matrix is not positive semidefinite (min eigenvalue {w[-1]:.3e}); the map is not CP")
     keep = KRAUS_KEEP_RTOL * n * scale
-    ops = [math.sqrt(w[i]) * unvec(q[:, i], (dim_out, dim_in)) for i in range(w.size) if w[i] > keep]
-    if not ops:
-        ops = [np.zeros((dim_out, dim_in), dtype=complex)]
-    return tuple(ops[::-1])
+    kraus = tuple(math.sqrt(lam) * k for lam, k in zip(w, ops) if lam > keep)
+    return kraus or (np.zeros((dim_out, dim_in), dtype=complex),)
 
 
 class Channel:
@@ -298,7 +307,10 @@ def schur_channel(corr) -> Channel:
     ``corr`` must be positive semidefinite with unit diagonal.  The channel
     is unital and trace preserving and fixes every diagonal matrix; the
     all-ones matrix gives the identity channel and the identity matrix gives
-    full dephasing in the computational basis.
+    full dephasing in the computational basis.  The Kraus operators are the
+    diagonal matrices of the d x 1 Kraus operators that :func:`choi_to_kraus`
+    reads from ``corr`` as the Choi matrix of a 1 -> d map, so a non-PSD
+    ``corr`` is refused by that function's CP rule and message.
     """
     c = as_operator(corr)
     d = c.shape[0]
@@ -306,9 +318,4 @@ def schur_channel(corr) -> Channel:
         raise ValueError("correlation matrix must be square")
     if np.abs(np.diagonal(c) - 1.0).max() > CP_TOL:
         raise ValueError("correlation matrix must have unit diagonal")
-    w, q = np.linalg.eigh((c + c.conj().T) / 2)
-    if w[0] < -CP_TOL:
-        raise ValueError(f"correlation matrix is not positive semidefinite (min eigenvalue {w[0]:.3e})")
-    keep = KRAUS_KEEP_RTOL * d * max(1.0, float(w.max()))
-    ops = [math.sqrt(w[i]) * np.diag(q[:, i]) for i in range(d) if w[i] > keep]
-    return Channel.from_kraus(ops)
+    return Channel.from_kraus([np.diag(k[:, 0]) for k in choi_to_kraus(c, 1, d)])

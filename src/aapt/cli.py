@@ -53,8 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a probe state document")
     gen.add_argument("family", choices=FAMILIES)
-    gen.add_argument("--d", type=int, default=2, help="dimension for max-entangled and prop4")
-    gen.add_argument("--da", type=int, default=2, help="A dimension for product and random")
+    gen.add_argument("--da", "--d", dest="da", type=int, default=2, help="A dimension (every family but cq)")
     gen.add_argument("--db", type=int, default=0, help="B dimension (0 = family default)")
     gen.add_argument("--rank", type=int, default=0, help="rank of the random state (0 = full)")
     gen.add_argument("--p", type=str, default="", help="comma-separated probabilities for cq")
@@ -83,9 +82,9 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("probe", type=Path)
     rec.add_argument("output", type=Path, nargs="?")
     rec.add_argument("--channel", type=Path, help="ground-truth channel document; outputs are synthesized")
-    rec.add_argument("--noise", type=float, default=0.0)
-    rec.add_argument("--trials", type=int, default=1)
-    rec.add_argument("--seed", type=int, default=0)
+    rec.add_argument("--noise", type=float, help="--channel mode only; default 0")
+    rec.add_argument("--trials", type=int, help="--channel mode only; default 1")
+    rec.add_argument("--seed", type=int, help="--channel mode only; default 0")
     rec.add_argument("--side", choices=("A", "B"), default="A")
     rec.add_argument("--tol", type=float, default=0.0)
     rec.add_argument("--out", type=Path)
@@ -130,8 +129,8 @@ def _default_prop4_spectrum(d: int) -> list[float]:
 def _cmd_gen(args) -> int:
     meta = {"family": args.family, "seed": str(args.seed)}
     if args.family == "max-entangled":
-        state = max_entangled(args.d)
-        meta["d"] = str(args.d)
+        state = max_entangled(args.da)
+        meta["d"] = str(args.da)
     elif args.family == "product":
         db = args.db or args.da
         g = np.random.default_rng(args.seed)
@@ -159,7 +158,7 @@ def _cmd_gen(args) -> int:
         state = cq_state(p, sigmas)
         meta["sigmas"] = args.sigmas
     else:  # prop4
-        spectrum = _parse_floats(args.spectrum, "--lambda") if args.spectrum else _default_prop4_spectrum(args.d)
+        spectrum = _parse_floats(args.spectrum, "--lambda") if args.spectrum else _default_prop4_spectrum(args.da)
         state = unitary_faithful_state(spectrum)
         meta["d"] = str(len(spectrum))
     _emit(documents.state_document(state, meta), args.out)
@@ -207,11 +206,16 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    if args.output is not None:
+        for flag in ("channel", "noise", "trials", "seed"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} cannot be combined with an output state document")
     probe = documents.document_to_state(documents.load(args.probe))
     if args.channel is not None:
         truth = documents.document_to_channel(documents.load(args.channel))
-        reports = noise_stress(probe, truth, args.noise, args.trials, args.seed, args.side, args.tol)
-        meta_extra = {"noise": documents.format_number(args.noise), "seed": str(args.seed)}
+        noise, trials, seed = (d if v is None else v for v, d in ((args.noise, 0.0), (args.trials, 1), (args.seed, 0)))
+        reports = noise_stress(probe, truth, noise, trials, seed, args.side, args.tol)
+        meta_extra = {"noise": documents.format_number(noise), "seed": str(seed)}
     elif args.output is not None:
         output = documents.document_to_state(documents.load(args.output))
         reports = [reconstruct_channel(probe, output, args.side, args.tol)]

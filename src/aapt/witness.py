@@ -11,17 +11,25 @@ it can be rescaled into a difference of two genuine channels:
     K0    = Kraus { sqrt(lambda_i / alpha) V_i : lambda_i >= 0 } u { M / sqrt(alpha) },
     K1    = Kraus { sqrt(-lambda_i / alpha) V_i : lambda_i < 0 } u { M / sqrt(alpha) },
 
-with D = alpha (K0 - K1).  For a state that fails the faithfulness rank test
-this turns the rank deficiency into a concrete pair of channels, read from
-the same decision the certificate makes: the right singular vectors past the
-certificate's rank span the operators orthogonal to the image of the state's
-B -> A map.  E is the Hermitian projection onto that span of one fixed
-generic weight (the one the PC-Q measurement also uses), G the traceless part
-of E, and D(X) = <E, X> G is decomposed.  The span is fixed by the rank
-decision alone, so E, G and D do not depend on which basis the SVD returns
-for a degenerate cokernel.  The resulting channels differ (their Choi
-matrices are far apart) yet produce identical outputs on the probe, which is
-exactly the information the probe cannot see.
+with D = alpha (K0 - K1).  The sums run over one eigendecomposition of the
+Choi matrix, shared with :func:`aapt.channels.choi_to_kraus`.  The positive
+part p = sum_{lambda_i >= 0} lambda_i V_i^dag V_i is eigendecomposed once,
+p = U diag(w) U^dag, and both alpha = max w and M = U diag(sqrt(alpha - w))
+U^dag are read from it, so the zero eigenvalue of alpha 1 - p is exactly 0
+and the channels carry no sqrt(eps) rounding noise from the square root of a
+singular matrix.
+
+For a state that fails the faithfulness rank test this turns the rank
+deficiency into a concrete pair of channels, read from the same decision the
+certificate makes: the right singular vectors past the certificate's rank
+span the operators orthogonal to the image of the state's B -> A map.  E is
+the Hermitian projection onto that span of one fixed generic weight (the one
+the PC-Q measurement also uses), G the traceless part of E, and
+D(X) = <E, X> G is decomposed.  The span is fixed by the rank decision
+alone, so E, G and D do not depend on which basis the SVD returns for a
+degenerate cokernel.  The resulting channels differ (their Choi matrices are
+far apart) yet produce identical outputs on the probe, which is exactly the
+information the probe cannot see.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply_on_A
+from .channels import Channel, _eigen_terms, apply_on_A
 from .duality import TransferMatrix, _decide_faithful
 from .linalg import unvec, vec, weight_in_span
 from .states import BipartiteState
@@ -109,24 +117,9 @@ def conjugation_decomposition(m: HermitianPreservingMap) -> list[tuple[float, np
     orthonormal V; terms with a weight below 1e-12 of the largest are
     dropped.  ``sum_i weight_i V_i X V_i^dag`` reproduces the map's action.
     """
-    c = m.transfer.choi()
-    w, q = np.linalg.eigh((c + c.conj().T) / 2)
-    if w.size == 0:
-        return []
+    w, ops = _eigen_terms(m.transfer.choi(), m.dim_in, m.dim_out)
     cutoff = TERM_DROP_RTOL * float(np.abs(w).max())
-    terms = [
-        (float(w[i]), unvec(q[:, i], (m.dim_out, m.dim_in)))
-        for i in range(w.size)
-        if abs(w[i]) > cutoff
-    ]
-    terms.sort(key=lambda t: -t[0])
-    return terms
-
-
-def _psd_sqrt(m: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
+    return [(float(lam), v) for lam, v in zip(w, ops) if abs(lam) > cutoff]
 
 
 def decompose_channel_difference(m: HermitianPreservingMap) -> tuple[float, Channel, Channel]:
@@ -149,10 +142,12 @@ def decompose_channel_difference(m: HermitianPreservingMap) -> tuple[float, Chan
     p = np.zeros((d, d), dtype=complex)
     for lam, v in positive:
         p += lam * (v.conj().T @ v)
-    alpha = float(np.linalg.eigvalsh((p + p.conj().T) / 2)[-1])
+    w, u = np.linalg.eigh((p + p.conj().T) / 2)
+    alpha = float(w[-1])
     if alpha <= 0.0:
         raise ValueError("the zero map has no channel-difference decomposition")
-    slack = _psd_sqrt(alpha * np.eye(d) - p)
+    # alpha 1 - p shares p's eigenvectors, and its zero eigenvalue alpha - w[-1] is exactly 0
+    slack = (u * np.sqrt(alpha - w)) @ u.conj().T
     extra = [] if np.linalg.norm(slack) <= 1e-12 * math.sqrt(alpha * d) else [slack / math.sqrt(alpha)]
     k0_ops = [math.sqrt(lam / alpha) * v for lam, v in positive] + extra
     k1_ops = [math.sqrt(-lam / alpha) * v for lam, v in negative] + extra

@@ -71,8 +71,7 @@ def test_the_cases_cover_every_family_on_both_sides():
 @pytest.mark.parametrize("state, side", CASES)
 def test_witness_map_is_stable_under_a_rounding_level_perturbation(state, side):
     # D = alpha (K0 - K1) is fixed by the cokernel and the fixed weight; the
-    # Kraus operators themselves still move by ~1e-7 through the square root
-    # of a singular matrix in the decomposition, so they are not compared.
+    # channels K0 and K1 themselves are compared in tests/test_eigen_split.py.
     want = _witness_map(state, side)
     for seed in (1, 2):
         got = _witness_map(_perturbed(state, seed), side)
