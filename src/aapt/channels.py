@@ -1,6 +1,6 @@
-"""Quantum channels and completely positive maps in three representations.
+"""Quantum channels and completely positive maps, held as Choi matrices.
 
-A :class:`Channel` stores one of
+A :class:`Channel` can be built from any of three forms,
 
 * ``kraus``: a tuple of ``dim_out x dim_in`` operators K_i acting as
   ``rho -> sum_i K_i rho K_i^dag``,
@@ -10,10 +10,11 @@ A :class:`Channel` stores one of
 * ``transfer``: the ``dim_out^2 x dim_in^2`` matrix acting on column-stacked
   operators,
 
-and converts between them on demand.  With column stacking the three forms
-are linked by ``C = sum_i vec(K_i) vec(K_i)^dag`` and
-``T = sum_i conj(K_i) (x) K_i``; Choi and transfer matrices are entry
-permutations of each other (the reshuffle below).
+and stores its Choi matrix, the Jamiolkowski image that a bipartite probe
+state also is.  With column stacking the three forms are linked by
+``C = sum_i vec(K_i) vec(K_i)^dag`` and ``T = sum_i conj(K_i) (x) K_i``;
+Choi and transfer matrices are entry permutations of each other (the
+reshuffle below), so the transfer form is read back exactly.
 """
 
 from __future__ import annotations
@@ -78,6 +79,14 @@ def act_on_first(t: np.ndarray, m: np.ndarray, dims: tuple[int, int]) -> np.ndar
     return transfer_to_choi((t @ choi_to_transfer(m, *dims).T).T, math.isqrt(t.shape[0]), dims[1])
 
 
+def _act_on_operator(t: np.ndarray, m, dim_in: int) -> np.ndarray:
+    """Act with the transfer matrix ``t`` on one ``dim_in x dim_in`` operator."""
+    m = as_operator(m)
+    if m.shape != (dim_in, dim_in):
+        raise ValueError(f"operator of shape {m.shape} does not match input dimension {dim_in}")
+    return act_on_first(t, m, (dim_in, 1))
+
+
 def _eigen_terms(c: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the Hermitian part of a Choi matrix, largest first.
 
@@ -111,15 +120,17 @@ def choi_to_kraus(c, dim_in: int, dim_out: int) -> tuple[np.ndarray, ...]:
 
 
 class Channel:
-    """A completely positive map held in the one representation it was built from.
+    """A completely positive map, stored as one read-only Choi matrix.
 
-    The other representations are converted on every call and nothing is
-    cached: ``kraus()`` on a Choi-form channel runs an eigendecomposition
-    each time.  Acting on an operator needs only the transfer matrix, an
-    entry permutation of the Choi matrix, so no action decomposes.
+    The constructor computes the Choi matrix once, by :func:`kraus_to_choi`
+    or by the exact transfer-to-Choi permutation, and keeps the Kraus
+    operators only when it was given them.  ``kind`` names the form the
+    channel was built from.  ``choi()`` is a copy, ``transfer()`` one
+    reshuffle, and ``kraus()`` of a channel built from another form runs an
+    eigendecomposition on every call; nothing else is cached.
     """
 
-    __slots__ = ("kind", "dim_in", "dim_out", "_data")
+    __slots__ = ("kind", "dim_in", "dim_out", "_choi", "_kraus")
 
     def __init__(self, kind: str, data, dim_in: int, dim_out: int):
         if kind not in _KINDS:
@@ -136,7 +147,8 @@ class Channel:
             if not np.isfinite(stacked).all():
                 raise ValueError("Kraus operators have non-finite entries (NaN or inf)")
             stacked.setflags(write=False)
-            data = tuple(stacked)
+            self._kraus = tuple(stacked)
+            choi = kraus_to_choi(self._kraus)
         else:
             m = as_operator(data)
             expected = (
@@ -148,11 +160,12 @@ class Channel:
                 raise ValueError(f"{kind} matrix must have shape {expected}, got {m.shape}")
             if not np.isfinite(m).all():
                 raise ValueError(f"{kind} matrix has non-finite entries (NaN or inf)")
-            data = read_only(m)
+            self._kraus = None
+            choi = m if kind == "choi" else transfer_to_choi(m, dim_in, dim_out)
         self.kind = kind
         self.dim_in = dim_in
         self.dim_out = dim_out
-        self._data = data
+        self._choi = read_only(choi)
 
     @classmethod
     def from_kraus(cls, ops) -> "Channel":
@@ -173,28 +186,17 @@ class Channel:
         return cls.from_kraus([np.eye(d, dtype=complex)])
 
     def kraus(self) -> tuple[np.ndarray, ...]:
-        if self.kind == "kraus":
-            return self._data
-        return choi_to_kraus(self.choi(), self.dim_in, self.dim_out)
+        return self._kraus or choi_to_kraus(self._choi, self.dim_in, self.dim_out)
 
     def choi(self) -> np.ndarray:
-        if self.kind == "kraus":
-            return kraus_to_choi(self._data)
-        if self.kind == "choi":
-            return self._data.copy()
-        return transfer_to_choi(self._data, self.dim_in, self.dim_out)
+        return self._choi.copy()
 
     def transfer(self) -> np.ndarray:
-        if self.kind == "transfer":
-            return self._data.copy()
-        return choi_to_transfer(self.choi(), self.dim_in, self.dim_out)
+        return choi_to_transfer(self._choi, self.dim_in, self.dim_out)
 
     def apply(self, m) -> np.ndarray:
         """Act on a single-system operator, through the transfer matrix."""
-        m = as_operator(m)
-        if m.shape != (self.dim_in, self.dim_in):
-            raise ValueError(f"operator of shape {m.shape} does not match input dimension {self.dim_in}")
-        return act_on_first(self.transfer(), m, (self.dim_in, 1))
+        return _act_on_operator(self.transfer(), m, self.dim_in)
 
     def __repr__(self) -> str:
         return f"Channel(kind={self.kind!r}, dim_in={self.dim_in}, dim_out={self.dim_out})"

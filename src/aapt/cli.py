@@ -26,7 +26,7 @@ import numpy as np
 
 from . import documents
 from .duality import certify_faithful
-from .linalg import random_density
+from .linalg import AMBIGUOUS_GAP_RATIO, random_density
 from .reconstruct import NotFaithfulProbeError, noise_stress, reconstruct_channel
 from .sensitivity import certify_sensitive
 from .states import cq_state, max_entangled, product_state, random_state, unitary_faithful_state
@@ -37,9 +37,14 @@ EXIT_FALSE = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-AMBIGUOUS_GAP_RATIO = 10.0
-
-FAMILIES = ("max-entangled", "product", "cq", "prop4", "random")
+# the gen options each family reads, by argparse dest; gen refuses every other one
+FAMILIES = {
+    "max-entangled": ("da",),
+    "product": ("da", "db", "seed"),
+    "cq": ("p", "db", "sigmas", "seed"),
+    "prop4": ("da", "spectrum"),
+    "random": ("da", "db", "rank", "seed"),
+}
 
 
 @functools.cache
@@ -53,13 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a probe state document")
     gen.add_argument("family", choices=FAMILIES)
-    gen.add_argument("--da", "--d", dest="da", type=int, default=2, help="A dimension (every family but cq)")
-    gen.add_argument("--db", type=int, default=0, help="B dimension (0 = family default)")
-    gen.add_argument("--rank", type=int, default=0, help="rank of the random state (0 = full)")
-    gen.add_argument("--p", type=str, default="", help="comma-separated probabilities for cq")
-    gen.add_argument("--lambda", dest="spectrum", type=str, default="", help="comma-separated spectrum for prop4")
-    gen.add_argument("--sigmas", choices=("basis", "random"), default="basis", help="B blocks for cq")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--da", "--d", dest="da", type=int, help="A dimension (every family but cq; default 2)")
+    gen.add_argument("--db", type=int, help="B dimension (0 = family default)")
+    gen.add_argument("--rank", type=int, help="rank of the random state (0 = full)")
+    gen.add_argument("--p", type=str, help="comma-separated probabilities for cq")
+    gen.add_argument("--lambda", dest="spectrum", type=str, help="comma-separated spectrum for prop4")
+    gen.add_argument("--sigmas", choices=("basis", "random"), help="B blocks for cq (default basis)")
+    gen.add_argument("--seed", type=int, help="product, random and cq only (default 0)")
     gen.add_argument("--out", type=Path)
 
     cert = sub.add_parser("certify", help="emit a faithfulness or sensitivity certificate")
@@ -127,38 +132,41 @@ def _default_prop4_spectrum(d: int) -> list[float]:
 
 
 def _cmd_gen(args) -> int:
-    meta = {"family": args.family, "seed": str(args.seed)}
+    for dest in ("da", "db", "rank", "p", "spectrum", "sigmas", "seed"):
+        if getattr(args, dest) is not None and dest not in FAMILIES[args.family]:
+            flag = "lambda" if dest == "spectrum" else dest
+            raise ValueError(f"gen {args.family} does not read --{flag}")
+    da = 2 if args.da is None else args.da
+    seed = args.seed or 0
+    meta = {"family": args.family, "seed": str(seed)}
     if args.family == "max-entangled":
-        state = max_entangled(args.da)
-        meta["d"] = str(args.da)
+        state = max_entangled(da)
+        meta["d"] = str(da)
     elif args.family == "product":
-        db = args.db or args.da
-        g = np.random.default_rng(args.seed)
-        state = product_state(random_density(args.da, args.da, g), random_density(db, db, g))
+        db = args.db or da
+        g = np.random.default_rng(seed)
+        state = product_state(random_density(da, da, g), random_density(db, db, g))
     elif args.family == "random":
-        db = args.db or args.da
-        n = args.da * db
-        rank = args.rank or n
-        state = random_state(args.da, db, rank, args.seed)
+        db = args.db or da
+        rank = args.rank or da * db
+        state = random_state(da, db, rank, seed)
         meta["rank"] = str(rank)
     elif args.family == "cq":
         if not args.p:
             raise ValueError("the cq family needs --p")
         p = _parse_floats(args.p, "--p")
         db = args.db or len(p)
-        if args.sigmas == "basis":
-            sigmas = []
-            for i in range(len(p)):
-                block = np.zeros((db, db), dtype=complex)
-                block[i % db, i % db] = 1.0
-                sigmas.append(block)
+        meta["sigmas"] = args.sigmas or "basis"
+        if meta["sigmas"] == "basis":
+            sigmas = [np.diag(np.eye(db, dtype=complex)[i % db]) for i in range(len(p))]
         else:
-            g = np.random.default_rng(args.seed)
+            g = np.random.default_rng(seed)
             sigmas = [random_density(db, db, g) for _ in range(len(p))]
         state = cq_state(p, sigmas)
-        meta["sigmas"] = args.sigmas
     else:  # prop4
-        spectrum = _parse_floats(args.spectrum, "--lambda") if args.spectrum else _default_prop4_spectrum(args.da)
+        spectrum = _parse_floats(args.spectrum, "--lambda") if args.spectrum else _default_prop4_spectrum(da)
+        if args.da is not None and args.da != len(spectrum):
+            raise ValueError(f"prop4 --d {args.da} does not match the {len(spectrum)} values of --lambda")
         state = unitary_faithful_state(spectrum)
         meta["d"] = str(len(spectrum))
     _emit(documents.state_document(state, meta), args.out)
@@ -235,8 +243,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_decompose(args) -> int:
     t = documents.document_to_transfer(documents.load(args.transfer))
-    hp = HermitianPreservingMap(t, trace_annihilating=True)
-    alpha, k0, k1 = decompose_channel_difference(hp)
+    alpha, k0, k1 = decompose_channel_difference(HermitianPreservingMap(t))
     return _save_pair(args.out, k0, k1, {"cptp": "true", "alpha": documents.format_number(alpha)})
 
 

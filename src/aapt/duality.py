@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import act_on_first, choi_to_transfer, transfer_to_choi
+from .channels import _act_on_operator, choi_to_transfer, transfer_to_choi
 from .linalg import RankEvidence, as_operator, hermitian_basis, rank_evidence, read_only, tensor, vec
 from .states import HERMITIAN_TOL, BipartiteState, orient
 
@@ -52,10 +52,7 @@ class TransferMatrix:
 
     def apply(self, m) -> np.ndarray:
         """Act on a single operator."""
-        m = as_operator(m)
-        if m.shape != (self.dim_in, self.dim_in):
-            raise ValueError(f"operator of shape {m.shape} does not match input dimension {self.dim_in}")
-        return act_on_first(self.matrix, m, (self.dim_in, 1))
+        return _act_on_operator(self.matrix, m, self.dim_in)
 
     def choi(self) -> np.ndarray:
         return transfer_to_choi(self.matrix, self.dim_in, self.dim_out)

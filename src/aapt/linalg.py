@@ -149,6 +149,10 @@ class RankEvidence(NamedTuple):
         return self.smallest_kept / self.largest_dropped
 
 
+# a rank decision whose gap ratio falls below this is ambiguous (the CLI exits 3)
+AMBIGUOUS_GAP_RATIO = 10.0
+
+
 def default_rank_tol(shape: tuple[int, int], s_max: float) -> float:
     """Default singular value cutoff, max(rows, cols) * s_max * 1e-12."""
     return max(shape) * s_max * RANK_RTOL

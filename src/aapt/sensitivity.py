@@ -67,6 +67,7 @@ import numpy as np
 from .channels import act_on_first, kraus_to_transfer
 from .duality import state_to_map
 from .linalg import (
+    AMBIGUOUS_GAP_RATIO,
     RankEvidence,
     _svd_nullspace,
     as_operator,
@@ -85,7 +86,6 @@ PROJECTOR_TOL = 1e-10
 EIGENVALUE_CLUSTER_RTOL = 1e-8
 SCHMIDT_DROP_RTOL = 1e-13
 DROPPED_MASS_RTOL = 1e-3
-BOUND_MARGIN = 10.0
 
 
 @dataclass(frozen=True)
@@ -217,15 +217,17 @@ def _substack_evidence(weighted: np.ndarray, d: int, cut: float) -> RankEvidence
     """Evidence that K has nullity exactly 1, from its two largest Schmidt terms, or None.
 
     The sub-stack's second smallest singular value is a lower bound on K's
-    and must exceed ``10 * cut``; the Courant-Fischer bound on it is
-    checked first, so the SVD is skipped when it cannot succeed.
+    and must exceed ``AMBIGUOUS_GAP_RATIO * cut``, so that K's own gap
+    ratio clears the limit the CLI treats as ambiguous; the Courant-Fischer
+    bound on it is checked first, so the SVD is skipped when it cannot
+    succeed.
     """
     a1, a2 = weighted[:, :2].T.reshape(2, d, d)  # s_k A_k^T
     m = a1 - (np.trace(a1) / d) * np.eye(d)
-    if np.linalg.norm(m @ a2 - a2 @ m) <= BOUND_MARGIN * cut * np.linalg.norm(m):
+    if np.linalg.norm(m @ a2 - a2 @ m) <= AMBIGUOUS_GAP_RATIO * cut * np.linalg.norm(m):
         return None
     s = np.linalg.svd(_adjoint_stack(weighted[:, :2], d), compute_uv=False)
-    if s[-2] <= BOUND_MARGIN * cut:
+    if s[-2] <= AMBIGUOUS_GAP_RATIO * cut:
         return None
     return RankEvidence(d * d - 1, float(s[-2]), 0.0, cut)
 

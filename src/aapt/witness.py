@@ -54,10 +54,11 @@ CHANNEL_GAP_MIN = 1e-3
 class HermitianPreservingMap:
     """A linear map on operator space that sends Hermitian to Hermitian.
 
-    Hermiticity preservation is validated through the Choi matrix.  With
+    Hermiticity preservation is validated through the Choi matrix of
+    ``transfer``, which also carries the map's dimensions.  With
     ``trace_annihilating=True`` the map must also send everything to
     traceless operators, i.e. its adjoint must kill the identity; that is
-    the precondition for the channel-difference decomposition.
+    the precondition :func:`decompose_channel_difference` checks itself.
     """
 
     transfer: TransferMatrix
@@ -69,26 +70,15 @@ class HermitianPreservingMap:
         if self.trace_annihilating:
             _check_trace_annihilating(self)
 
-    @property
-    def dim_in(self) -> int:
-        return self.transfer.dim_in
-
-    @property
-    def dim_out(self) -> int:
-        return self.transfer.dim_out
-
     def apply(self, m) -> np.ndarray:
         return self.transfer.apply(m)
 
-    def adjoint_identity(self) -> np.ndarray:
-        """The adjoint map applied to the identity, sum_i lambda_i V_i^dag V_i."""
-        eye_out = np.eye(self.dim_out, dtype=complex)
-        return unvec(self.transfer.matrix.conj().T @ vec(eye_out), (self.dim_in, self.dim_in))
-
 
 def _check_trace_annihilating(m: HermitianPreservingMap) -> None:
-    residual = np.linalg.norm(m.adjoint_identity())
-    if residual > TRACE_ANNIHILATION_TOL * max(1.0, float(np.linalg.norm(m.transfer.matrix))):
+    t = m.transfer
+    # the adjoint map applied to the identity, sum_i lambda_i V_i^dag V_i, as T^dag vec(1)
+    residual = np.linalg.norm(t.matrix.conj().T @ vec(np.eye(t.dim_out, dtype=complex)))
+    if residual > TRACE_ANNIHILATION_TOL * max(1.0, float(np.linalg.norm(t.matrix))):
         raise ValueError(f"map does not annihilate the trace (adjoint identity residual {residual:.3e})")
 
 
@@ -117,7 +107,8 @@ def conjugation_decomposition(m: HermitianPreservingMap) -> list[tuple[float, np
     orthonormal V; terms with a weight below 1e-12 of the largest are
     dropped.  ``sum_i weight_i V_i X V_i^dag`` reproduces the map's action.
     """
-    w, ops = _eigen_terms(m.transfer.choi(), m.dim_in, m.dim_out)
+    t = m.transfer
+    w, ops = _eigen_terms(t.choi(), t.dim_in, t.dim_out)
     cutoff = TERM_DROP_RTOL * float(np.abs(w).max())
     return [(float(lam), v) for lam, v in zip(w, ops) if abs(lam) > cutoff]
 
@@ -130,13 +121,11 @@ def decompose_channel_difference(m: HermitianPreservingMap) -> tuple[float, Chan
     Raises ValueError for the zero map, for non-square maps, and when the
     trace-annihilation precondition fails.
     """
-    if m.dim_in != m.dim_out:
+    d = m.transfer.dim_in
+    if m.transfer.dim_out != d:
         raise ValueError("only square maps can be split into a channel difference")
-    d = m.dim_in
     _check_trace_annihilating(m)
     terms = conjugation_decomposition(m)
-    if not terms:
-        raise ValueError("the zero map has no channel-difference decomposition")
     positive = [(lam, v) for lam, v in terms if lam >= 0]
     negative = [(lam, v) for lam, v in terms if lam < 0]
     p = np.zeros((d, d), dtype=complex)
@@ -193,8 +182,7 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     g_op = e_op - (np.trace(e_op) / da) * np.eye(da)
     g_op = g_op / np.linalg.norm(g_op)
     t_d = np.outer(vec(g_op), vec(e_op.T))
-    hp = HermitianPreservingMap(TransferMatrix(da, da, t_d), trace_annihilating=True)
-    alpha, k0, k1 = decompose_channel_difference(hp)
+    alpha, k0, k1 = decompose_channel_difference(HermitianPreservingMap(TransferMatrix(da, da, t_d)))
     out0 = apply_on_A(k0, work)
     out1 = apply_on_A(k1, work)
     output_gap = float(np.linalg.norm(out0.matrix - out1.matrix))
