@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, as_operator, haar_unitary, partial_trace, read_only, vec
+from .linalg import _rng, as_operator, checked_matrix, haar_unitary, partial_trace, read_only, vec
 from .states import BipartiteState, swap_sides
 
 _KINDS = ("kraus", "choi", "transfer")
@@ -80,11 +80,8 @@ def act_on_first(t: np.ndarray, m: np.ndarray, dims: tuple[int, int]) -> np.ndar
 
 
 def _act_on_operator(t: np.ndarray, m, dim_in: int) -> np.ndarray:
-    """Act with the transfer matrix ``t`` on one ``dim_in x dim_in`` operator."""
-    m = as_operator(m)
-    if m.shape != (dim_in, dim_in):
-        raise ValueError(f"operator of shape {m.shape} does not match input dimension {dim_in}")
-    return act_on_first(t, m, (dim_in, 1))
+    """Act with the transfer matrix ``t`` on one caller's ``dim_in x dim_in`` operator."""
+    return act_on_first(t, checked_matrix(m, (dim_in, dim_in), "operator"), (dim_in, 1))
 
 
 def _eigen_terms(c: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
@@ -150,16 +147,8 @@ class Channel:
             self._kraus = tuple(stacked)
             choi = kraus_to_choi(self._kraus)
         else:
-            m = as_operator(data)
-            expected = (
-                (dim_in * dim_out, dim_in * dim_out)
-                if kind == "choi"
-                else (dim_out * dim_out, dim_in * dim_in)
-            )
-            if m.shape != expected:
-                raise ValueError(f"{kind} matrix must have shape {expected}, got {m.shape}")
-            if not np.isfinite(m).all():
-                raise ValueError(f"{kind} matrix has non-finite entries (NaN or inf)")
+            shape = (dim_in * dim_out,) * 2 if kind == "choi" else (dim_out * dim_out, dim_in * dim_in)
+            m = checked_matrix(data, shape, f"{kind} matrix")
             self._kraus = None
             choi = m if kind == "choi" else transfer_to_choi(m, dim_in, dim_out)
         self.kind = kind
@@ -192,7 +181,8 @@ class Channel:
         return self._choi.copy()
 
     def transfer(self) -> np.ndarray:
-        return choi_to_transfer(self._choi, self.dim_in, self.dim_out)
+        # reshuffling the copy keeps the result writable: for 1 -> 1 it is a view
+        return choi_to_transfer(self.choi(), self.dim_in, self.dim_out)
 
     def apply(self, m) -> np.ndarray:
         """Act on a single-system operator, through the transfer matrix."""

@@ -146,9 +146,6 @@ def document_to_state(doc: MatrixDocument) -> BipartiteState:
         raise ValueError(f"expected a state document, got kind {doc.kind!r}")
     if len(doc.dims) != 2:
         raise ValueError("state documents carry exactly two dimensions")
-    n = doc.dims[0] * doc.dims[1]
-    if doc.data.shape != (n, n):
-        raise ValueError(f"state data must have shape ({n}, {n}), got {doc.data.shape}")
     return BipartiteState(doc.data, doc.dims[0], doc.dims[1])
 
 

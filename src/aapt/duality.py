@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _act_on_operator, choi_to_transfer, transfer_to_choi
-from .linalg import RankEvidence, as_operator, hermitian_basis, rank_evidence, read_only, tensor, vec
-from .states import HERMITIAN_TOL, BipartiteState, orient
+from .linalg import RankEvidence, checked_matrix, hermitian_basis, rank_evidence, read_only, tensor, vec
+from .states import BipartiteState, _is_hermitian, orient
 
 DIRECTIONS = ("a_to_b", "b_to_a")
 SUPPORT_TOL = 1e-12
@@ -42,13 +42,8 @@ class TransferMatrix:
     def __post_init__(self):
         if self.dim_in < 1 or self.dim_out < 1:
             raise ValueError("dimensions must be positive")
-        m = as_operator(self.matrix)
-        expected = (self.dim_out * self.dim_out, self.dim_in * self.dim_in)
-        if m.shape != expected:
-            raise ValueError(f"transfer matrix must have shape {expected}, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("transfer matrix has non-finite entries (NaN or inf)")
-        object.__setattr__(self, "matrix", read_only(m))
+        shape = (self.dim_out * self.dim_out, self.dim_in * self.dim_in)
+        object.__setattr__(self, "matrix", read_only(checked_matrix(self.matrix, shape, "transfer matrix")))
 
     def apply(self, m) -> np.ndarray:
         """Act on a single operator."""
@@ -59,8 +54,7 @@ class TransferMatrix:
 
     def is_hermitian_preserving(self) -> bool:
         """Whether the Choi matrix is Hermitian, under the relative rule states are checked with."""
-        c = self.choi()
-        return bool(np.linalg.norm(c - c.conj().T) <= HERMITIAN_TOL * max(1.0, np.linalg.norm(c)))
+        return _is_hermitian(self.choi())
 
 
 def state_to_map(state: BipartiteState, direction: str = "a_to_b") -> TransferMatrix:
@@ -147,7 +141,7 @@ def _decide_faithful(
     """The faithfulness decision, with the restricted and oriented state and the A -> B matrix it was read from."""
     restricted = restrict_support(state)
     work = orient(restricted, side)
-    matrix = state_to_map(work).matrix
+    matrix = choi_to_transfer(work.matrix, *work.dims)
     ev = rank_evidence(matrix, tol)
     required = work.dim_a**2
     cert = FaithfulnessCertificate(

@@ -1,11 +1,16 @@
 """Dense complex linear algebra underneath the tomography layers.
 
 Operators are bare ``numpy.ndarray`` values with complex dtype; nothing in
-this package wraps matrices in richer classes.  Vectorization is column
-stacking everywhere: ``vec(M)`` concatenates the columns of ``M``, which
-gives the identity ``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``.  Composite
-systems use row-major index order, so the basis vector ``|i>_A (x) |j>_B``
-sits at position ``i * dim_b + j``.
+this package wraps matrices in richer classes.  A matrix a caller hands in
+is checked once, by :func:`checked_matrix` in the type that takes it (shape
+and finite entries, with a message naming what was given); inside the
+package checked data is passed on as bare arrays and not checked again.
+
+Vectorization is column stacking everywhere: ``vec(M)`` concatenates the
+columns of ``M``, which gives the identity
+``vec(A @ X @ B) = kron(B.T, A) @ vec(X)``.  Composite systems use
+row-major index order, so the basis vector ``|i>_A (x) |j>_B`` sits at
+position ``i * dim_b + j``.
 
 Rank decisions follow a single tolerance rule: a singular value counts as
 nonzero when it exceeds ``max(rows, cols) * s_max * 1e-12``, unless the
@@ -49,6 +54,20 @@ def as_operator(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got an array of shape {a.shape}")
+    return a
+
+
+def checked_matrix(m, shape: tuple[int, int], label: str) -> np.ndarray:
+    """View a caller's ``m`` as a complex matrix of the given shape with finite entries.
+
+    The one check every type runs on the matrix it takes; a failure raises
+    ValueError naming ``label``.
+    """
+    a = as_operator(m)
+    if a.shape != shape:
+        raise ValueError(f"{label} must have shape {shape}, got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{label} has non-finite entries (NaN or inf)")
     return a
 
 

@@ -8,6 +8,10 @@ channel transfer matrix exactly,
 
     T = J_out @ pinv(J_in).
 
+Both maps are bare arrays reshuffled from state matrices that their
+``BipartiteState`` already checked, so nothing is re-validated on the way;
+the recovered T is checked once, as it enters its ``Channel``.
+
 No regularization and no projection back onto the channel set is performed;
 CP and TP violations of the recovered map are reported as first-class
 numbers instead.
@@ -19,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply_on_A, apply_on_B
-from .duality import state_to_map
+from .channels import Channel, apply_on_A, apply_on_B, choi_to_transfer
 from .linalg import _svd_pinv, partial_trace
 from .states import BipartiteState, orient
 
@@ -71,7 +74,7 @@ def reconstruct_channel(
 
 def _invert_probe(probe_w: BipartiteState, side: str, tol: float) -> tuple[np.ndarray, float]:
     """Right pseudo-inverse of the oriented probe's B -> A map, and its condition number."""
-    ev, s, inverse = _svd_pinv(state_to_map(probe_w, "b_to_a").matrix, tol)
+    ev, s, inverse = _svd_pinv(choi_to_transfer(probe_w.matrix, *probe_w.dims).T, tol)
     required = probe_w.dim_a**2
     if ev.rank < required:
         raise NotFaithfulProbeError(
@@ -85,7 +88,7 @@ def _recover(
 ) -> ReconstructionReport:
     """Report for the channel that maps the probe's B -> A map to the oriented output's."""
     d = output_w.dim_a
-    channel = Channel.from_transfer(state_to_map(output_w, "b_to_a").matrix @ inverse, d, d)
+    channel = Channel.from_transfer(choi_to_transfer(output_w.matrix, *output_w.dims).T @ inverse, d, d)
     choi = channel.choi()
     hermitian = (choi + choi.conj().T) / 2
     return ReconstructionReport(

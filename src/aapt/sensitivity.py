@@ -17,7 +17,9 @@ commutator map, and when the nullity exceeds one the unperturbing measurement
 is constructed explicitly.
 
 The nullity is read from the state's own operator space.  One SVD of the
-reshuffled ``d_A^2 x d_B^2`` matrix gives the operator-Schmidt form
+reshuffled ``d_A^2 x d_B^2`` matrix (the state's B -> A map, reshuffled
+from the already-checked state matrix as a bare array) gives the
+operator-Schmidt form
 rho = sum_k s_k A_k (x) B_k with the B_k Hilbert-Schmidt orthonormal, so
 
     ||[M (x) 1, rho]||^2 = sum_k s_k^2 ||[M, A_k]||^2
@@ -64,8 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import act_on_first, kraus_to_transfer
-from .duality import state_to_map
+from .channels import act_on_first, choi_to_transfer, kraus_to_transfer
 from .linalg import (
     AMBIGUOUS_GAP_RATIO,
     RankEvidence,
@@ -126,6 +127,9 @@ class ProjectiveMeasurement:
         # first failure raises; the stack holds those before the first one of another dimension
         same = next((i for i, p in enumerate(ops) if p.shape != (d, d)), len(ops))
         stack = np.stack(ops[:same]) if same else np.zeros((0, d, d), dtype=complex)
+        # every tolerance comparison with NaN is False, so non-finite entries are refused first
+        if not np.isfinite(stack).all():
+            raise ValueError("projectors have non-finite entries (NaN or inf)")
         skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2)) > PROJECTOR_TOL
         off = np.linalg.norm(stack @ stack - stack, axis=(1, 2)) > PROJECTOR_TOL
         for not_hermitian, not_idempotent in zip(skew, off):
@@ -193,7 +197,7 @@ def _schmidt_terms(work: BipartiteState) -> tuple[np.ndarray, float]:
     ||A||_F = 1, so the dropped terms move K's singular values by at most
     twice their norm.
     """
-    u, s, _ = np.linalg.svd(state_to_map(work, "b_to_a").matrix, full_matrices=False)
+    u, s, _ = np.linalg.svd(choi_to_transfer(work.matrix, *work.dims).T, full_matrices=False)
     r = int((s > SCHMIDT_DROP_RTOL * s[0]).sum())
     return u[:, :r] * s[:r], 2.0 * float(np.linalg.norm(s[r:]))
 

@@ -1,8 +1,13 @@
 """Bipartite density matrices and the probe state families used throughout.
 
 A :class:`BipartiteState` is a density matrix on A (x) B together with the
-two subsystem dimensions.  Construction validates finiteness, positivity and
-unit trace, so every instance in circulation is a physical state.
+two subsystem dimensions.  Construction checks the caller's matrix once:
+shape and finite entries by :func:`aapt.linalg.checked_matrix`, then the
+Hermitian, positivity and unit-trace rules of one density check that the B
+blocks of :func:`cq_state` share.  Every instance in circulation is
+therefore a physical state, and code inside the package reads its
+``matrix`` as a bare array without checking it again.  The relative
+Hermiticity rule is written here once; :mod:`aapt.duality` reads it too.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, as_operator, partial_trace, random_density, read_only, tensor
+from .linalg import _rng, as_operator, checked_matrix, partial_trace, random_density, read_only, tensor
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -20,11 +25,15 @@ HERMITIAN_TOL = 1e-12
 SIDES = ("A", "B")
 
 
-def _check_density(m: np.ndarray, label: str) -> np.ndarray:
-    """Return ``m`` if it is a finite, Hermitian, positive semidefinite, unit-trace matrix."""
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{label} has non-finite entries (NaN or inf)")
-    if np.linalg.norm(m - m.conj().T) > HERMITIAN_TOL * max(1.0, np.linalg.norm(m)):
+def _is_hermitian(m: np.ndarray) -> bool:
+    """Whether ||m - m^dag||_F <= 1e-12 max(1, ||m||_F), the relative Hermiticity rule."""
+    return bool(np.linalg.norm(m - m.conj().T) <= HERMITIAN_TOL * max(1.0, np.linalg.norm(m)))
+
+
+def _check_density(m, n: int, label: str) -> np.ndarray:
+    """``m`` as a checked ``n x n`` matrix that is Hermitian, positive semidefinite and of unit trace."""
+    m = checked_matrix(m, (n, n), label)
+    if not _is_hermitian(m):
         raise ValueError(f"{label} is not Hermitian")
     eigs = np.linalg.eigvalsh((m + m.conj().T) / 2)
     if eigs[0] < -PSD_TOL:
@@ -46,11 +55,8 @@ class BipartiteState:
     def __post_init__(self):
         if self.dim_a < 1 or self.dim_b < 1:
             raise ValueError(f"subsystem dimensions must be positive, got ({self.dim_a}, {self.dim_b})")
-        m = as_operator(self.matrix)
-        n = self.dim_a * self.dim_b
-        if m.shape != (n, n):
-            raise ValueError(f"matrix of shape {m.shape} does not fit dimensions {self.dim_a} x {self.dim_b}")
-        object.__setattr__(self, "matrix", read_only(_check_density(m, "state matrix")))
+        m = _check_density(self.matrix, self.dim_a * self.dim_b, "state matrix")
+        object.__setattr__(self, "matrix", read_only(m))
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -112,20 +118,20 @@ def cq_state(p, sigmas) -> BipartiteState:
     """Classical-quantum state sum_i p_i |i><i| (x) sigma_i.
 
     ``p`` is a probability vector over the A basis and ``sigmas`` one B state
-    per entry.  The result commutes with every projective measurement that is
-    diagonal in the chosen A basis, so it is never sensitive on A.
+    per entry, each of the first one's dimension.  The result commutes with
+    every projective measurement that is diagonal in the chosen A basis, so
+    it is never sensitive on A.
     """
     weights = np.asarray(p, dtype=float)
     if weights.ndim != 1 or weights.size < 1:
         raise ValueError("p must be a nonempty probability vector")
     if np.any(weights < 0) or abs(weights.sum() - 1.0) > TRACE_TOL:
         raise ValueError("p must be nonnegative and sum to 1")
-    blocks = [_check_density(as_operator(s), f"sigma[{i}]") for i, s in enumerate(sigmas)]
-    if len(blocks) != weights.size:
+    sigmas = list(sigmas)
+    if len(sigmas) != weights.size:
         raise ValueError("need exactly one B state per probability entry")
-    db = blocks[0].shape[0]
-    if any(b.shape != (db, db) for b in blocks):
-        raise ValueError("all B states must share one dimension")
+    db = as_operator(sigmas[0]).shape[0]
+    blocks = [_check_density(s, db, f"sigma[{i}]") for i, s in enumerate(sigmas)]
     da = weights.size
     out = np.zeros((da * db, da * db), dtype=complex)
     for i, (w, b) in enumerate(zip(weights, blocks)):
