@@ -215,7 +215,7 @@ def sensitivity_document(cert: SensitivityCertificate, dims: tuple[int, int]) ->
         meta["evidence"] = "pcq_projectors"
         data = np.stack(cert.pcq_measurement.projectors)
     else:
-        meta["evidence"] = "substack_bound" if cert.substack_bound else "singular_gap"
+        meta["evidence"] = "slice_bound" if cert.slice_bound else "singular_gap"
         data = _cut_data(cert.evidence)
     return MatrixDocument("certificate", dims, data, meta)
 

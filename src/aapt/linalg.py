@@ -25,7 +25,7 @@ vectors, and its SVD builds a ``cols x cols`` ``u`` instead of the
 ``rows x cols`` one that the null space never reads.  A square matrix takes
 its SVD directly, and a wide one the full SVD, whose ``vh`` also holds the
 ``cols - rows`` directions that no singular value reaches.  A caller whose
-matrix stands in for a larger one with the same singular values passes the
+matrix stands in for a larger one, such as a restriction of it, passes the
 larger shape, so the tolerance rule and the rank cut read the shape of the
 matrix the decision is about.
 """
@@ -33,6 +33,7 @@ matrix the decision is about.
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -61,9 +62,9 @@ def checked_matrix(m, shape: tuple[int, int], label: str) -> np.ndarray:
     """View a caller's ``m`` as a complex matrix of the given shape with finite entries.
 
     The one check every type runs on the matrix it takes; a failure raises
-    ValueError naming ``label``.
+    ValueError naming ``label``, also for input that is not 2-D.
     """
-    a = as_operator(m)
+    a = np.asarray(m, dtype=complex)
     if a.shape != shape:
         raise ValueError(f"{label} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
@@ -183,16 +184,9 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
 
 
-def _resolve_tol(shape: tuple[int, int], s: np.ndarray, tol: float) -> float:
-    check_tol(tol)
-    if tol > 0:
-        return tol
-    s_max = float(s[0]) if s.size else 0.0
-    return default_rank_tol(shape, s_max)
-
-
 def _evidence(shape: tuple[int, int], s: np.ndarray, tol: float) -> RankEvidence:
-    used = _resolve_tol(shape, s, tol)
+    check_tol(tol)
+    used = tol or default_rank_tol(shape, float(s[0]) if s.size else 0.0)
     rank = int((s > used).sum())
     smallest_kept = float(s[rank - 1]) if rank > 0 else 0.0
     largest_dropped = float(s[rank]) if rank < s.size else 0.0
@@ -248,10 +242,18 @@ def pseudo_inverse(m, tol: float = 0.0) -> np.ndarray:
     return _svd_pinv(as_operator(m), tol)[2]
 
 
+@cache
+def fixed_weight(d: int) -> np.ndarray:
+    """The fixed ``d x d`` Hermitian weight W: a GUE draw from ``WEIGHT_SEED``, made once per d, read-only."""
+    g = _rng(WEIGHT_SEED)
+    z = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
+    return read_only((z + z.conj().T) / 2)
+
+
 def weight_in_span(elements: np.ndarray, d: int, traceless: bool = False) -> np.ndarray:
     """Hermitian part of the projection of one fixed weight W onto the span of ``elements``.
 
-    W is a GUE draw from ``WEIGHT_SEED``, the same for every caller.  The
+    W is :func:`fixed_weight`, the same for every caller.  The
     ``d x d`` elements, stacked along the first axis, are Hilbert-Schmidt
     orthonormal, so the projection is sum_i <E_i, W> E_i; it depends on the
     span, not on the basis that spans it.  For a span closed under adjoints
@@ -259,9 +261,7 @@ def weight_in_span(elements: np.ndarray, d: int, traceless: bool = False) -> np.
     With ``traceless`` the trace is removed before the Hermitian part is
     taken.  Raises ArithmeticError when the result is at most 1e-8 ||W||.
     """
-    g = _rng(WEIGHT_SEED)
-    z = g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))
-    w = (z + z.conj().T) / 2
+    w = fixed_weight(d)
     projected = np.einsum("k,kij->ij", np.einsum("kij,ij->k", elements.conj(), w), elements)
     if traceless:
         projected = projected - (np.trace(projected) / d) * np.eye(d)

@@ -16,41 +16,50 @@ Both certified classes therefore share one verdict, the nullity of the
 commutator map, and when the nullity exceeds one the unperturbing measurement
 is constructed explicitly.
 
-The nullity is read from the state's own operator space.  One SVD of the
-reshuffled ``d_A^2 x d_B^2`` matrix (the state's B -> A map, reshuffled
-from the already-checked state matrix as a bare array) gives the
-operator-Schmidt form
-rho = sum_k s_k A_k (x) B_k with the B_k Hilbert-Schmidt orthonormal, so
+The nullity is the number of singular values of the ``n^2 x d_A^2``
+commutator matrix K at or below the rank cut.  K itself is decomposed only
+as a fallback; first the decision is read from one slice of the state,
+H = Tr_B[(1 (x) Y) rho], with Y the fixed weight of
+:func:`aapt.linalg.fixed_weight` on B scaled to ||Y||_F = 1.
 
-    ||[M (x) 1, rho]||^2 = sum_k s_k^2 ||[M, A_k]||^2
+* Compression.  Writing rho = sum_k A_k (x) B_k over a Hermitian basis B_k
+  of B, [M, H] = sum_k <Y, B_k> [M, A_k], so by Cauchy-Schwarz
+  ||[M, H]|| <= ||[M (x) 1, rho]||: ad(H) is a compression of K.
+* Split.  With eigh(H) = U diag(lam) U^dag, neighbouring eigenvalues at
+  most theta = sqrt(cut L) apart are grouped into clusters, where L = 2 ||rho||_F >=
+  ||K||_2 and cut = max(max(n^2, d_A^2) L 1e-12, tol), no lower than K's
+  own cut.  g is the smallest gap between clusters, less a rounding
+  allowance 4 d_A eps max |lam|.  V is spanned by the u_i u_j^dag with i
+  and j in one cluster, and ad(H) is at least g on its complement.
+* Restricted matrix.  K on V is built in the frame (U (x) 1)^dag rho (U (x) 1).
+  When every cluster is a single eigenvalue, V holds the u_a u_a^dag and K
+  on V is an isometry times the incidence matrix of the complete graph on
+  d_A vertices weighted by the norms of the off-diagonal blocks, one row
+  per pair; otherwise its columns are built in full.  Its singular values
+  s' come from an R-only SVD.  q of them are at most tol, or without tol
+  at most the default cut of sigma_lo = ||K||_F / (d_A^2 - 1)^(1/2) <=
+  ||K||_2, with ||K||_F^2 = 2 d_A ||rho||_F^2 - 2 ||rho_B||_F^2 in closed
+  form (the largest s' when that is zero).
+* Dropped side.  On the q null directions, which lie in V, K acts as on V,
+  so by Courant-Fischer K has q singular values at most s'_q, the largest
+  of those q values of s', and so below its own cut.
+* Kept side.  For x orthogonal to them, with a part of norm t outside V,
+  ||K x|| >= max(g t, beta (1 - t^2)^(1/2) - L t), beta the smallest kept
+  s'.  Minimizing over t, sigma_{q+1}(K) >= g beta / ((g + L)^2 + beta^2)^(1/2),
+  which is beta for one cluster and g when V is all null.
 
-and the stack of the ``s_k ad(A_k)`` has exactly the singular values of the
-``n^2 x d_A^2`` commutator matrix K with only ``r d_A^2`` rows, r the
-operator-Schmidt rank.  K is the same stack over the matrix units of B
-(rows reordered), so one builder serves both.  The stack replaces K when
-r < d_B^2; otherwise it would be no smaller, and K itself is decomposed.
-Terms are dropped only at s_k <= 1e-13 s_0, and a check after the SVD
-keeps the stack only when the dropped terms move K's singular values by at
-most 1e-3 of the rank tolerance; otherwise K is decomposed after all.  That check also sends a K
-that vanishes exactly (rho = 1/d_A (x) sigma) back to K: the stack's own
-rounding then sets its tolerance, and the dropped rounding-level terms
-exceed a thousandth of it.  The tolerance is always computed with K's
-shape, so the rank cut is the same on either route.
-
-At full Schmidt rank (r = d_B^2 >= 2) a cheaper certificate comes first.
-The two-term sub-stack of s_1 ad(A_1) and s_2 ad(A_2) consists of rows of
-K up to a unitary, so by row interlacing its second smallest singular value
-is at most K's, and ad(A) maps the identity to exactly zero.  With the cut
-max(max(n^2, d_A^2) 2 ||rho||_F 1e-12, tol), no lower than K's own since
-||K|| <= 2 ||rho||_F, a second smallest singular value above ten times the
-cut certifies nullity 1 from the sub-stack's singular values alone; the
-certificate is marked ``substack_bound`` and its documents say
-``"evidence": "substack_bound"``.  The factor ten keeps K's own gap ratio
-above the CLI's ambiguity limit, so exit codes do not move.  A skip test
-saves the SVD when it cannot succeed: Courant-Fischer on span{1, M}, M the
-traceless part of A_1, bounds the value by s_2 ||[M, A_2]|| / ||M||, which
-vanishes for commuting Schmidt operators (classical-quantum probes).
-Otherwise, and for every non-sensitive probe, K is decomposed.
+A bound above ten times the cut certifies nullity q: K's own gap ratio is
+then above the CLI's ambiguity limit, so no exit code depends on the route.
+The certificate records ``(d_A^2 - q, bound, s'_q, cut)`` and is marked
+``slice_bound``; its sensitive documents say ``"evidence": "slice_bound"``.
+For q = 1 the null direction is the scaled identity, which K maps to
+exactly zero, so it is returned exactly with 0 as the largest dropped
+value.  Neither K nor its restriction is ever squared into a Gram matrix,
+which would lose the 1e-12 relative cut.  K, built by slice assignment from
+the entries of rho and decomposed through the R factor of its QR
+factorization, decides every other case: a
+side of dimension one, a K that vanishes, a gap too close to the cut, or a
+``tol`` within a factor of ten of the bound.
 
 The PC-Q measurement comes from one fixed generic Hermitian weight W: its
 orthogonal projection onto the commutant, with the trace removed, is a
@@ -63,10 +72,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .channels import act_on_first, choi_to_transfer, kraus_to_transfer
+from .channels import act_on_first, kraus_to_transfer
 from .linalg import (
     AMBIGUOUS_GAP_RATIO,
     RankEvidence,
@@ -74,9 +84,8 @@ from .linalg import (
     as_operator,
     check_tol,
     default_rank_tol,
+    fixed_weight,
     read_only,
-    unvec,
-    vec,
     weight_in_span,
 )
 from .states import BipartiteState, orient
@@ -85,8 +94,7 @@ CHANNEL_CLASSES = ("unitary", "unital")
 PCQ_TOL = 1e-10
 PROJECTOR_TOL = 1e-10
 EIGENVALUE_CLUSTER_RTOL = 1e-8
-SCHMIDT_DROP_RTOL = 1e-13
-DROPPED_MASS_RTOL = 1e-3
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -132,18 +140,18 @@ class ProjectiveMeasurement:
             raise ValueError("projectors have non-finite entries (NaN or inf)")
         skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2)) > PROJECTOR_TOL
         off = np.linalg.norm(stack @ stack - stack, axis=(1, 2)) > PROJECTOR_TOL
-        for not_hermitian, not_idempotent in zip(skew, off):
-            if not_hermitian:
-                raise ValueError("projectors must be Hermitian")
-            if not_idempotent:
-                raise ValueError("projectors must be idempotent")
+        bad = np.flatnonzero(skew | off)
+        if bad.size:  # the first failing projector, Hermiticity checked before idempotence
+            raise ValueError(f"projectors must be {'Hermitian' if skew[bad[0]] else 'idempotent'}")
         if same < len(ops):
             raise ValueError("all projectors must share one dimension")
         if np.linalg.norm(stack.sum(axis=0) - np.eye(d)) > PROJECTOR_TOL:
             raise ValueError("projectors must resolve the identity")
-        for i in range(len(ops) - 1):
-            if np.any(np.linalg.norm(stack[i] @ stack[i + 1 :], axis=(1, 2)) > PROJECTOR_TOL):
-                raise ValueError("projectors must be mutually orthogonal")
+        # one product of every projector with every other, block (i, j) holding P_i P_j as real pairs
+        products = stack.reshape(-1, d) @ stack.transpose(1, 0, 2).reshape(d, -1)
+        products = products.view(float).reshape(len(ops), d, len(ops), 2 * d)
+        if np.any(np.triu(np.sqrt(np.einsum("iajc,iajc->ij", products, products)), 1) > PROJECTOR_TOL):
+            raise ValueError("projectors must be mutually orthogonal")
         object.__setattr__(self, "projectors", tuple(read_only(p) for p in ops))
 
     def __len__(self) -> int:
@@ -156,10 +164,11 @@ class SensitivityCertificate:
 
     ``sensitive`` holds exactly when the commutant nullity is 1.  For a
     non-sensitive state, ``pcq_measurement`` carries a nontrivial projective
-    measurement that leaves the state unperturbed.  ``substack_bound`` marks
-    evidence from the two-term sub-stack: its ``smallest_kept`` is a lower
-    bound on the second smallest singular value of K, and only the exact
-    null direction, the identity, lies below the cut.
+    measurement that leaves the state unperturbed.  ``slice_bound`` marks
+    evidence from the slice of the state: its ``smallest_kept`` is a lower
+    bound on K's smallest kept singular value, its ``largest_dropped`` an
+    upper bound on K's largest dropped one, and its ``tol`` a cut no lower
+    than K's own.
     """
 
     sensitive: bool
@@ -168,104 +177,123 @@ class SensitivityCertificate:
     nullity: int
     pcq_measurement: ProjectiveMeasurement | None
     evidence: RankEvidence
-    substack_bound: bool
+    slice_bound: bool
+
+
+def _unit_commutators(rho: np.ndarray, dims: tuple[int, int], rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Columns vec([E_ij (x) 1, rho]) for the matrix units E_ij of A, (i, j) = (rows[p], cols[p]).
+
+    vec stacks columns, so a row index splits as ``(a', b', a, b)`` for the
+    commutator entry at row ``(a, b)``, column ``(a', b')``: rows a = i carry
+    rho's rows a = j, less rho's columns a' = i placed at a' = j.  The
+    entries are placed by slice assignment, so each is a copy or a
+    difference of two entries of rho, and the identity maps to exactly zero.
+    """
+    da, db = dims
+    r4 = rho.reshape(da, db, da, db)
+    p = np.arange(rows.size)
+    out = np.zeros((rows.size, da, db, da, db), dtype=complex)  # (p, a', b', a, b)
+    out[p, :, :, rows] = r4[cols].transpose(0, 2, 3, 1)
+    out[p, cols] -= r4[:, :, rows].transpose(2, 3, 0, 1)
+    return out.reshape(rows.size, -1).T
 
 
 def _commutator_matrix(rho: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    """Matrix of M -> (M (x) 1) rho - rho (M (x) 1) over vectorized M.
+    """Matrix K of M -> (M (x) 1) rho - rho (M (x) 1) over vectorized M; column ``c * da + r`` is for E_rc."""
+    units = np.arange(dims[0] ** 2)
+    return _unit_commutators(rho, dims, units % dims[0], units // dims[0])
 
-    Column ``c * da + r`` is vec of the commutator with the matrix unit E_rc.
-    vec stacks columns, so a row index splits as ``(a', b', a, b)`` for the
-    commutator entry at row ``(a, b)``, column ``(a', b')``.  Writing
-    rho = sum_{b, b'} rho_{bb'} (x) |b><b'| over the matrix units of B, the
-    commutator with M (x) 1 is sum [M, rho_{bb'}] (x) |b><b'|, so K is
-    :func:`_adjoint_stack` of the blocks rho_{bb'} with its rows permuted
-    into that order.
+
+def _clusters(w: list[float], gap: float) -> list[range]:
+    """Index ranges of the ascending values ``w``, split wherever two neighbours differ by more than ``gap``."""
+    cuts = [i for i in range(1, len(w)) if w[i] - w[i - 1] > gap]
+    return [range(*r) for r in zip([0, *cuts], [*cuts, len(w)])]
+
+
+@cache
+def _complete_graph(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex pairs a < b of the complete graph on d vertices, and its incidence rows e_a - e_b."""
+    a, b = np.triu_indices(d, 1)
+    return tuple(read_only(x) for x in (a, b, np.eye(d, dtype=complex)[a] - np.eye(d)[b]))
+
+
+def _restricted_commutator(rotated: np.ndarray, dims: tuple[int, int], ranges: list[range]) -> tuple[np.ndarray, tuple]:
+    """A matrix with the singular values and right singular vectors of K on V, and the pairs spanning V.
+
+    ``rotated`` is the state in the eigenbasis of the slice, whose clusters
+    are the index ``ranges``; V is spanned by the u_i u_j^dag with i, j in
+    one cluster.  When every cluster is a single eigenvalue, V holds the
+    u_a u_a^dag alone, and the blocks (a, b) and (b, a) of the commutator
+    are X_ab (c_a - c_b) and -X_ba (c_a - c_b), X the blocks of ``rotated``:
+    K on V is an isometry times the incidence matrix of the complete graph
+    weighted by (||X_ab||^2 + ||X_ba||^2)^(1/2), one row per pair.
+    Otherwise K's columns for V are built in full.
     """
     da, db = dims
-    blocks = rho.reshape(da, db, da, db).transpose(0, 2, 3, 1).reshape(da * da, db * db)  # (a, a'), (b', b)
-    k = _adjoint_stack(blocks, da).reshape(db, db, da, da, da, da)  # (b', b, i, j, p, q)
-    return k.transpose(3, 0, 2, 1, 5, 4).reshape(-1, da * da)
+    if len(ranges) == da:
+        r4 = rotated.reshape(da, db, da, db)
+        w2 = np.einsum("abcd,abcd->ac", r4, r4.conj()).real  # ||X_ac||^2
+        a, b, incidence = _complete_graph(da)
+        return incidence * np.sqrt(w2[a, b] + w2[b, a])[:, None], (np.arange(da),) * 2
+    pairs = tuple(np.array([(i, j) for r in ranges for i in r for j in r]).T)
+    return _unit_commutators(rotated, dims, *pairs), pairs
 
 
-def _schmidt_terms(work: BipartiteState) -> tuple[np.ndarray, float]:
-    """Operator-Schmidt terms of the state kept for the stack, and how far the rest can move K.
+def _slice_nullspace(work: BipartiteState, tol: float, shape: tuple) -> tuple[RankEvidence, np.ndarray] | None:
+    """Rank evidence and commutant elements certified in the eigenbasis of one slice of the state, or None.
 
-    Column k of the first result is s_k times the k-th left singular vector
-    of the reshuffled matrix, whose rows index (a', a): read row-major it is
-    s_k A_k^T.  Terms at s_k <= 1e-13 s_0 are dropped.  ||ad(A)|| <= 2 for
-    ||A||_F = 1, so the dropped terms move K's singular values by at most
-    twice their norm.
+    The slice H = Tr_B[(1 (x) Y) rho], Y the fixed weight on B at unit norm,
+    has ||[M, H]|| <= ||K vec(M)||.  Its eigenvalues are split into clusters
+    at gaps above sqrt(cut L); K is decomposed only on the span V of the
+    u_i u_j^dag within one cluster, and ad(H) is at least g, the smallest gap
+    between clusters, on the rest.  The module docstring derives the bound
+    on K's kept singular values from the two.
     """
-    u, s, _ = np.linalg.svd(choi_to_transfer(work.matrix, *work.dims).T, full_matrices=False)
-    r = int((s > SCHMIDT_DROP_RTOL * s[0]).sum())
-    return u[:, :r] * s[:r], 2.0 * float(np.linalg.norm(s[r:]))
-
-
-def _adjoint_stack(weighted: np.ndarray, d: int) -> np.ndarray:
-    """Rows of s_k ad(A_k) = s_k (1 (x) A_k - A_k^T (x) 1) over vectorized M, stacked over k.
-
-    Block k, row (i, j), column (p, q) holds delta_ip A_k[j, q] - A_k[p, i] delta_jq.
-    The entries are placed by slice assignment; an ``einsum`` against the
-    identity gives the same bytes but multiplies out every zero.
-    """
-    at = weighted.T.reshape(-1, d, d)  # (k, p, q) = s_k A_k[q, p]
-    out = np.zeros((at.shape[0], d, d, d, d), dtype=complex)  # (k, i, j, p, q)
-    units = np.arange(d)
-    out[:, units, :, units, :] = at.transpose(0, 2, 1)[None]
-    out[:, :, units, :, units] -= at[None]
-    return out.reshape(-1, d * d)
-
-
-def _substack_evidence(weighted: np.ndarray, d: int, cut: float) -> RankEvidence | None:
-    """Evidence that K has nullity exactly 1, from its two largest Schmidt terms, or None.
-
-    The sub-stack's second smallest singular value is a lower bound on K's
-    and must exceed ``AMBIGUOUS_GAP_RATIO * cut``, so that K's own gap
-    ratio clears the limit the CLI treats as ambiguous; the Courant-Fischer
-    bound on it is checked first, so the SVD is skipped when it cannot
-    succeed.
-    """
-    a1, a2 = weighted[:, :2].T.reshape(2, d, d)  # s_k A_k^T
-    m = a1 - (np.trace(a1) / d) * np.eye(d)
-    if np.linalg.norm(m @ a2 - a2 @ m) <= AMBIGUOUS_GAP_RATIO * cut * np.linalg.norm(m):
-        return None
-    s = np.linalg.svd(_adjoint_stack(weighted[:, :2], d), compute_uv=False)
-    if s[-2] <= AMBIGUOUS_GAP_RATIO * cut:
-        return None
-    return RankEvidence(d * d - 1, float(s[-2]), 0.0, cut)
-
-
-def _commutant_nullspace(work: BipartiteState, tol: float) -> tuple[RankEvidence, np.ndarray, bool]:
-    """Rank evidence and null vectors of K, and whether the sub-stack bound decided them.
-
-    The operator-Schmidt stack replaces K when it is smaller; at full
-    Schmidt rank the sub-stack bound is tried at a cut no lower than K's,
-    since ||K|| <= 2 ||rho||_F.
-    """
-    check_tol(tol)
     da, db = work.dims
-    shape = ((da * db) ** 2, da * da)
-    weighted, moved = _schmidt_terms(work)
-    if weighted.shape[1] < db * db:
-        ev, null_vectors = _svd_nullspace(_adjoint_stack(weighted, da), tol, shape)
-        if moved <= DROPPED_MASS_RTOL * ev.tol:
-            return ev, null_vectors, False
-    elif weighted.shape[1] >= 2:  # r = d_B^2 >= 2, so d_A >= d_B >= 2
-        cut = max(default_rank_tol(shape, 2.0 * float(np.linalg.norm(work.matrix))), tol)
-        ev = _substack_evidence(weighted, da, cut)
-        if ev is not None:
-            return ev, vec(np.eye(da))[:, None] / math.sqrt(da), True
-    return (*_svd_nullspace(_commutator_matrix(work.matrix, work.dims), tol), False)
+    if da == 1:
+        return None
+    rho = work.matrix
+    norm2 = float(np.vdot(rho, rho).real)
+    big = 2.0 * math.sqrt(norm2)  # L >= ||K||_2
+    cut = max(default_rank_tol(shape, big), tol)
+    y = fixed_weight(db)
+    lam, u = np.linalg.eigh(np.einsum("acxb,bc->ax", rho.reshape(da, db, da, db), y))
+    lam = (lam / math.sqrt(np.vdot(y, y).real)).tolist()
+    ranges = _clusters(lam, math.sqrt(cut * big))
+    gaps = [lam[r.start] - lam[r.start - 1] for r in ranges[1:]]
+    g = min(gaps, default=math.inf) - 4 * da * EPS * max(-lam[0], lam[-1])  # less what rounding moves
+    # rho in the eigenbasis of H, (U (x) 1)^dag rho (U (x) 1), by two products on the A index
+    left = (u.conj().T @ rho.reshape(da, -1)).reshape(rho.shape)
+    kv, pairs = _restricted_commutator((u.T @ left.T.reshape(da, -1)).reshape(rho.shape).T, work.dims, ranges)
+    # ||K||_F^2 = 2 d_A ||rho||_F^2 - 2 ||rho_B||_F^2, over at most d_A^2 - 1 nonzero singular values
+    rho_b = rho.reshape(da, db, da, db).trace(axis1=0, axis2=2)
+    sigma_lo = math.sqrt(max(2 * da * norm2 - 2 * float(np.vdot(rho_b, rho_b).real), 0.0) / (da * da - 1))
+    ev, null = _svd_nullspace(kv, tol or default_rank_tol(shape, sigma_lo), shape)
+    q = null.shape[1]
+    if q == da * da or g <= 0:  # K vanishes or no gap separates the clusters
+        return None
+    beta = ev.smallest_kept if ev.rank else math.inf
+    bound = 1.0 / math.hypot((1.0 + big / g) / beta, 1.0 / g)  # g beta / sqrt((g + L)^2 + beta^2)
+    if not bound > AMBIGUOUS_GAP_RATIO * cut:
+        return None
+    if q == 1:  # the scaled identity, which K maps to exactly zero
+        return RankEvidence(da * da - 1, bound, 0.0, cut), np.eye(da, dtype=complex)[None] / math.sqrt(da)
+    c = np.zeros((q, da, da), dtype=complex)
+    c[:, pairs[0], pairs[1]] = null.T
+    return RankEvidence(da * da - q, bound, ev.largest_dropped, cut), u @ c @ u.conj().T
 
 
 def _commutant(state: BipartiteState, side: str, tol: float) -> tuple[CommutantBasis, bool]:
-    """The commutant basis, and whether the sub-stack bound decided it."""
+    """The commutant basis, and whether the slice bound decided it rather than K."""
+    check_tol(tol)
     work = orient(state, side)
-    ev, null_vectors, bound = _commutant_nullspace(work, tol)
-    d = work.dim_a
-    elements = tuple(unvec(null_vectors[:, i], (d, d)) for i in range(null_vectors.shape[1]))
-    return CommutantBasis(side=side, elements=elements, evidence=ev), bound
+    da, db = work.dims
+    found = _slice_nullspace(work, tol, ((da * db) ** 2, da * da))
+    if found is not None:
+        return CommutantBasis(side=side, elements=tuple(found[1]), evidence=found[0]), True
+    ev, null = _svd_nullspace(_commutator_matrix(work.matrix, work.dims), tol)
+    elements = tuple(null.T.reshape(-1, da, da).transpose(0, 2, 1))  # each column unstacked, as unvec does
+    return CommutantBasis(side=side, elements=elements, evidence=ev), False
 
 
 def commutant_basis(state: BipartiteState, side: str = "A", tol: float = 0.0) -> CommutantBasis:
@@ -293,15 +321,8 @@ def _eigenprojectors(h: np.ndarray) -> list[np.ndarray]:
     spread = float(w[-1] - w[0])
     if spread <= 0.0:
         raise ArithmeticError("operator is numerically scalar; no nontrivial spectral projectors exist")
-    threshold = EIGENVALUE_CLUSTER_RTOL * spread
-    projectors = []
-    start = 0
-    for i in range(1, w.size + 1):
-        if i == w.size or w[i] - w[i - 1] > threshold:
-            block = v[:, start:i]
-            projectors.append(block @ block.conj().T)
-            start = i
-    return projectors
+    blocks = [v[:, r.start : r.stop] for r in _clusters(w.tolist(), EIGENVALUE_CLUSTER_RTOL * spread)]
+    return [block @ block.conj().T for block in blocks]
 
 
 def pcq_residual(state: BipartiteState, measurement: ProjectiveMeasurement, side: str = "A") -> float:
@@ -338,8 +359,7 @@ def extract_pcq(state: BipartiteState, side: str = "A", tol: float = 0.0) -> Pro
     sensitive there).  Otherwise the returned projectors pinch the state to
     itself within 1e-10.
     """
-    basis = commutant_basis(state, side, tol)
-    return _extract_from_basis(state, side, basis)
+    return _extract_from_basis(state, side, commutant_basis(state, side, tol))
 
 
 def certify_sensitive(
@@ -360,13 +380,8 @@ def certify_sensitive(
     sensitive = basis.nullity == 1
     measurement = None if sensitive else _extract_from_basis(state, side, basis)
     return SensitivityCertificate(
-        sensitive=sensitive,
-        side=side,
-        channel_class=channel_class,
-        nullity=basis.nullity,
-        pcq_measurement=measurement,
-        evidence=basis.evidence,
-        substack_bound=bound,
+        sensitive=sensitive, side=side, channel_class=channel_class, nullity=basis.nullity,
+        pcq_measurement=measurement, evidence=basis.evidence, slice_bound=bound,
     )
 
 

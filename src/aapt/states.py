@@ -130,7 +130,7 @@ def cq_state(p, sigmas) -> BipartiteState:
     sigmas = list(sigmas)
     if len(sigmas) != weights.size:
         raise ValueError("need exactly one B state per probability entry")
-    db = as_operator(sigmas[0]).shape[0]
+    db = len(sigmas[0]) if np.ndim(sigmas[0]) else 0
     blocks = [_check_density(s, db, f"sigma[{i}]") for i, s in enumerate(sigmas)]
     da = weights.size
     out = np.zeros((da * db, da * db), dtype=complex)

@@ -1,10 +1,10 @@
-"""The operator-Schmidt stack against the commutator matrix K it stands in for.
+"""The slice route against the commutator matrix K it stands in for.
 
-``commutant_basis`` decomposes the stack of s_k ad(A_k) when the state's
-operator-Schmidt rank is below d_B^2 and K otherwise.  K stays the oracle:
-each probe is checked on both sides against an SVD of K taken here with
-numpy directly, for nullity, singular values, tolerance and the PC-Q
-projectors.
+``commutant_basis`` decides the commutant in the eigenbasis of one slice of
+the state and decomposes K only when that bound does not decide, as for a K
+that vanishes or a side of dimension one.  K stays the oracle: each probe is
+checked on both sides against an SVD of K taken here with numpy directly,
+for nullity, tolerance and the PC-Q projectors.
 """
 
 import numpy as np
@@ -25,14 +25,7 @@ from aapt import (
 )
 from aapt import sensitivity
 from aapt.linalg import default_rank_tol
-from aapt.sensitivity import (
-    DROPPED_MASS_RTOL,
-    _adjoint_stack,
-    _commutator_matrix,
-    _eigenprojectors,
-    _nonscalar_hermitian,
-    _schmidt_terms,
-)
+from aapt.sensitivity import _commutator_matrix, _eigenprojectors, _nonscalar_hermitian
 from aapt.states import orient
 
 from helpers import random_complex
@@ -79,25 +72,20 @@ def k_oracle(state, side):
 
 
 @pytest.mark.parametrize("name, side", CASES)
-def test_stack_route_matches_the_commutator_matrix(name, side):
+def test_the_route_matches_the_commutator_matrix(name, side):
     state = PROBES[name]
     s_k, tol_k, nullity_k, _ = k_oracle(state, side)
     basis = commutant_basis(state, side)
     assert basis.nullity == nullity_k
-    if certify_sensitive(state, side).substack_bound:
-        # a lower bound on K's second smallest singular value, cut no lower than K
+    if certify_sensitive(state, side).slice_bound:
+        # a lower bound on K's first kept singular value, cut no lower than K
         assert tol_k <= basis.tol
-        assert basis.evidence.smallest_kept <= s_k[-2]
-        assert basis.evidence.largest_dropped == 0.0
+        assert basis.evidence.smallest_kept <= s_k[-nullity_k - 1] * (1 + 1e-10)
+        assert basis.evidence.largest_dropped <= tol_k
     else:
         assert basis.tol == pytest.approx(tol_k, rel=1e-13, abs=0.0)
-    work = orient(state, side)
-    weighted, _ = _schmidt_terms(work)
-    s_stack = np.linalg.svd(_adjoint_stack(weighted, work.dim_a), compute_uv=False)[: s_k.size]
-    if s_k[0] > 0:
-        assert np.max(np.abs(s_stack - s_k)) <= 1e-13 * s_k[0]
-    else:
-        # K vanishes exactly, the stack only up to rounding: the route must use K
+    if s_k[0] == 0:
+        # K vanishes exactly: the route must use K
         assert basis.tol == 0.0 == basis.evidence.smallest_kept
 
 
@@ -110,13 +98,16 @@ def built(monkeypatch):
     return calls
 
 
-def test_the_stack_route_is_taken_for_low_schmidt_rank(built):
-    for name in ("product_3x2", "cq_3x2", "unitary_faithful_3"):
+def test_k_is_built_only_where_the_slice_cannot_decide(built):
+    for name in ("product_3x2", "cq_3x2", "unitary_faithful_3", "random_3x3", "max_entangled_3"):
         commutant_basis(PROBES[name], "A")
-    commutant_basis(PROBES["random_3x3"], "A")  # Schmidt rank d_B^2: the sub-stack bound decides
+        commutant_basis(PROBES[name], "B")
+    commutant_basis(random_cq_state(4, 2, seed=517), "A")
     assert built == []
-    commutant_basis(random_cq_state(4, 2, seed=517), "A")  # full Schmidt rank, not sensitive: only K decides
-    assert built == [(4, 2)]
+    # a side of dimension one, and a K that vanishes (rho = 1/d_A (x) sigma)
+    for name, side in (("1x1", "A"), ("1x3", "A"), ("3x1", "B"), ("maximally_mixed_2x3", "A"), ("mixed_a_3x4", "A")):
+        commutant_basis(PROBES[name], side)
+    assert built == [(1, 1), (1, 3), (1, 3), (2, 3), (3, 4)]
 
 
 def _correlated_below_the_drop_line(relative):
@@ -130,27 +121,22 @@ def _correlated_below_the_drop_line(relative):
     return BipartiteState(product + extra, 3, 2)
 
 
-def test_dropped_mass_above_the_limit_recomputes_on_the_commutator_matrix(built):
-    state = _correlated_below_the_drop_line(5e-14)
-    weighted, moved = _schmidt_terms(state)
-    assert weighted.shape[1] == 1  # the correlated term fell under the drop line
+@pytest.mark.parametrize("relative", [5e-14, 0.0])
+def test_a_correlation_far_below_the_cut_keeps_the_nullity_of_k(relative):
+    state = _correlated_below_the_drop_line(relative)
     basis = commutant_basis(state)
-    assert built == [(3, 2)]
-    assert moved > DROPPED_MASS_RTOL * basis.tol
     _, tol_k, nullity_k, _ = k_oracle(state, "A")
     assert basis.nullity == nullity_k == 3
-    assert basis.tol == pytest.approx(tol_k, rel=1e-13)
-    # the same state without the correlated term keeps the stack
-    assert commutant_basis(_correlated_below_the_drop_line(0.0)).nullity == 3 and built == [(3, 2)]
+    assert tol_k <= basis.tol
 
 
-def test_an_explicit_tolerance_is_what_the_dropped_mass_is_held_to(built):
+def test_an_explicit_tolerance_is_what_the_nullity_is_held_to():
     state = _correlated_below_the_drop_line(2e-15)
-    _, moved = _schmidt_terms(state)
-    assert DROPPED_MASS_RTOL * 1e-13 < moved <= DROPPED_MASS_RTOL * commutant_basis(state).tol
-    assert built == []
-    assert commutant_basis(state, tol=1e-13).nullity == 3
-    assert built == [(3, 2)]
+    assert commutant_basis(state).nullity == 3
+    basis = commutant_basis(state, tol=1e-13)
+    s_k = k_oracle(state, "A")[0]
+    assert basis.nullity == int((s_k <= 1e-13).sum()) == 3
+    assert 1e-13 <= basis.tol  # the slice bound records its own cut, which is never below the one asked for
 
 
 def _projectors(cert):

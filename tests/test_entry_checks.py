@@ -76,6 +76,21 @@ def test_every_entry_point_names_what_it_refuses(name, kind):
         call(_bad(good, kind))
 
 
+@pytest.mark.parametrize("name", [name for name, entry in ENTRY_POINTS.items() if entry[3] is None])
+def test_an_array_that_is_not_a_matrix_is_refused_by_name(name):
+    label, good, call, _ = ENTRY_POINTS[name]
+    rows, cols = good.shape
+    with pytest.raises(ValueError, match=rf"^{re.escape(label)} must have shape \({rows}, {cols}\), got \({cols},\)$"):
+        call(good[0])
+
+
+def test_a_flat_state_or_operator_names_the_matrix_it_should_be():
+    with pytest.raises(ValueError, match=r"^state matrix must have shape \(4, 4\), got \(4,\)$"):
+        BipartiteState(np.ones(4) / 4, 2, 2)
+    with pytest.raises(ValueError, match=r"^operator must have shape \(2, 2\), got \(2,\)$"):
+        Channel.identity(2).apply(np.ones(2))
+
+
 @pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE)
 def test_a_non_finite_projector_is_refused(bad):
     with pytest.raises(ValueError, match=r"^projectors have non-finite entries \(NaN or inf\)$"):

@@ -12,7 +12,7 @@ and the largest absolute change among the rest (a ``meta`` key present in
 one tree only counts as a shape change).  Numbers in ``meta`` are
 compared as floats, so ``inf`` against a finite value reads as an infinite
 change.  Other ``meta`` values end the line with each old→new transition
-and its count, such as ``singular_gap→substack_bound 12`` (``(none)`` for a
+and its count, such as ``singular_gap→slice_bound 12`` (``(none)`` for a
 missing key), so a changed ``verdict`` cannot hide among the numbers.  The
 last line says whether ``exit_codes.json`` is byte-identical.
 Nothing here imports ``aapt``; the exit status is 0 whether or not the trees
