@@ -137,17 +137,19 @@ def _cmd_gen(args) -> int:
             flag = "lambda" if dest == "spectrum" else dest
             raise ValueError(f"gen {args.family} does not read --{flag}")
     da = 2 if args.da is None else args.da
+    for flag, value, least in (("da", da, 1), ("db", args.db or 0, 0)):
+        if value < least:
+            raise ValueError(f"gen --{flag} must be at least {least}, got {value}")
+    db = args.db or da  # cq reads its own default below
     seed = args.seed or 0
     meta = {"family": args.family, "seed": str(seed)}
     if args.family == "max-entangled":
         state = max_entangled(da)
         meta["d"] = str(da)
     elif args.family == "product":
-        db = args.db or da
         g = np.random.default_rng(seed)
         state = product_state(random_density(da, da, g), random_density(db, db, g))
     elif args.family == "random":
-        db = args.db or da
         rank = args.rank or da * db
         state = random_state(da, db, rank, seed)
         meta["rank"] = str(rank)

@@ -50,11 +50,11 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def as_operator(m) -> np.ndarray:
-    """View ``m`` as a complex matrix, rejecting anything that is not 2-D."""
+def as_operator(m, what: str = "a matrix") -> np.ndarray:
+    """View ``m`` as a complex matrix, rejecting anything that is not 2-D with a message naming ``what``."""
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
-        raise ValueError(f"expected a matrix, got an array of shape {a.shape}")
+        raise ValueError(f"expected {what}, got an array of shape {a.shape}")
     return a
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import Channel, apply_on_A, apply_on_B, choi_to_transfer
 from .linalg import _svd_pinv, partial_trace
-from .states import BipartiteState, orient
+from .states import BipartiteState, _oriented_matrix, orient
 
 
 class NotFaithfulProbeError(ValueError):
@@ -69,7 +69,8 @@ def reconstruct_channel(
     if probe.dims != output.dims:
         raise ValueError(f"probe dims {probe.dims} and output dims {output.dims} differ")
     inverse, condition = _invert_probe(probe_w, side, tol)
-    return _recover(orient(output, side), inverse, condition, None if truth is None else truth.choi())
+    truth_choi = None if truth is None else truth.choi()
+    return _recover(orient(output, side).matrix, probe_w.dims, inverse, condition, truth_choi)
 
 
 def _invert_probe(probe_w: BipartiteState, side: str, tol: float) -> tuple[np.ndarray, float]:
@@ -84,11 +85,11 @@ def _invert_probe(probe_w: BipartiteState, side: str, tol: float) -> tuple[np.nd
 
 
 def _recover(
-    output_w: BipartiteState, inverse: np.ndarray, condition: float, truth_choi: np.ndarray | None
+    output_w: np.ndarray, dims: tuple[int, int], inverse: np.ndarray, condition: float, truth_choi: np.ndarray | None
 ) -> ReconstructionReport:
-    """Report for the channel that maps the probe's B -> A map to the oriented output's."""
-    d = output_w.dim_a
-    channel = Channel.from_transfer(choi_to_transfer(output_w.matrix, *output_w.dims).T @ inverse, d, d)
+    """Report for the channel that maps the probe's B -> A map to that of the oriented output matrix on ``dims``."""
+    d = dims[0]
+    channel = Channel.from_transfer(choi_to_transfer(output_w, *dims).T @ inverse, d, d)
     choi = channel.choi()
     hermitian = (choi + choi.conj().T) / 2
     return ReconstructionReport(
@@ -100,22 +101,22 @@ def _recover(
     )
 
 
-def _perturb(state: BipartiteState, noise: float, g: np.random.Generator) -> BipartiteState:
-    """Add a traceless Hermitian kick of Frobenius norm ``noise``, then repair.
+def _perturb(m: np.ndarray, noise: float, g: np.random.Generator) -> np.ndarray:
+    """Add a traceless Hermitian kick of Frobenius norm ``noise`` to a state matrix, then repair.
 
     The perturbed matrix is projected back to positive semidefinite by
-    eigenvalue clamping and renormalized to unit trace.
+    eigenvalue clamping and renormalized to unit trace, so the result is a
+    density matrix by construction and is not validated again.
     """
-    n = state.matrix.shape[0]
+    n = m.shape[0]
     x = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
     h = (x + x.conj().T) / 2
     h -= (np.trace(h) / n) * np.eye(n)
     h *= noise / np.linalg.norm(h)
-    w, v = np.linalg.eigh(state.matrix + h)
+    w, v = np.linalg.eigh(m + h)
     w = np.clip(w, 0.0, None)
-    m = (v * w) @ v.conj().T
-    m /= np.trace(m).real
-    return BipartiteState(m, state.dim_a, state.dim_b)
+    out = (v * w) @ v.conj().T
+    return out / np.trace(out).real
 
 
 def noise_stress(
@@ -149,6 +150,6 @@ def noise_stress(
     truth_choi = truth.choi()
     reports = []
     for child in np.random.SeedSequence(seed).spawn(trials):
-        perturbed = base if noise == 0 else _perturb(base, noise, np.random.default_rng(child))
-        reports.append(_recover(orient(perturbed, side), inverse, condition, truth_choi))
+        m = base.matrix if noise == 0 else _perturb(base.matrix, noise, np.random.default_rng(child))
+        reports.append(_recover(_oriented_matrix(m, base.dims, side), probe_w.dims, inverse, condition, truth_choi))
     return reports

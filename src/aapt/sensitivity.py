@@ -127,7 +127,7 @@ class ProjectiveMeasurement:
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(as_operator(p) for p in self.projectors)
+        ops = tuple(as_operator(p, "projectors to be matrices") for p in self.projectors)
         if not ops:
             raise ValueError("a measurement needs at least one projector")
         d = ops[0].shape[0]

@@ -69,16 +69,21 @@ class BipartiteState:
         return partial_trace(self.matrix, self.dims, "B" if which == "A" else "A")
 
 
+def _oriented_matrix(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
+    """A bare matrix on A (x) B of ``dims`` with the named side first: for B, an exact index permutation."""
+    da, db = dims
+    return m if side == "A" else m.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+
+
 def swap_sides(state: BipartiteState) -> BipartiteState:
     """Exchange the roles of A and B (an exact index permutation).
 
     Permuting the indices of a valid state gives a valid state, so the result
     is assembled directly instead of running the validation again.
     """
-    da, db = state.dims
-    m = state.matrix.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+    m = _oriented_matrix(state.matrix, state.dims, "B")
     swapped = object.__new__(BipartiteState)
-    for name, value in (("matrix", read_only(m)), ("dim_a", db), ("dim_b", da)):
+    for name, value in (("matrix", read_only(m)), ("dim_a", state.dim_b), ("dim_b", state.dim_a)):
         object.__setattr__(swapped, name, value)
     return swapped
 

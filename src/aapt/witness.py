@@ -4,44 +4,43 @@ Any Hermitian-preserving map decomposes as a real combination of
 conjugations, ``D = sum_i lambda_i V_i . V_i^dag`` with Hilbert-Schmidt
 orthonormal V_i, by eigendecomposing its (Hermitian) Choi matrix.  When the
 map additionally annihilates the trace, ``sum_i lambda_i V_i^dag V_i = 0``,
-it can be rescaled into a difference of two genuine channels:
+it can be rescaled into a difference of two genuine channels.  The split
+works on the Choi matrix alone.  With h = (C + C^dag)/2 = Q diag(w) Q^dag,
 
-    alpha = || sum_{lambda_i >= 0} lambda_i V_i^dag V_i ||_inf,
-    M     = sqrt(alpha 1 - sum_{lambda_i >= 0} lambda_i V_i^dag V_i),
-    K0    = Kraus { sqrt(lambda_i / alpha) V_i : lambda_i >= 0 } u { M / sqrt(alpha) },
-    K1    = Kraus { sqrt(-lambda_i / alpha) V_i : lambda_i < 0 } u { M / sqrt(alpha) },
+    P+    = Q diag(max(w, 0)) Q^dag,   P- = P+ - h,
+    p     = Tr_out(P+)^T = sum_{lambda_i >= 0} lambda_i V_i^dag V_i,
+    alpha = || p ||_inf,   M = sqrt(alpha 1 - p),   S = vec(M) vec(M)^dag,
+    K0    = (P+ + S) / alpha,   K1 = (P- + S) / alpha,
 
-with D = alpha (K0 - K1).  The sums run over one eigendecomposition of the
-Choi matrix, shared with :func:`aapt.channels.choi_to_kraus`.  The positive
-part p = sum_{lambda_i >= 0} lambda_i V_i^dag V_i is eigendecomposed once,
-p = U diag(w) U^dag, and both alpha = max w and M = U diag(sqrt(alpha - w))
-U^dag are read from it, so the zero eigenvalue of alpha 1 - p is exactly 0
-and the channels carry no sqrt(eps) rounding noise from the square root of a
-singular matrix.
+as Choi matrices, with D = alpha (K0 - K1).  P+, P- and S are PSD, and both
+channels are trace preserving because Tr_out h = 0.  p is eigendecomposed
+once, p = U diag(v) U^dag, and both alpha = max v and M = U diag(sqrt(alpha
+- v)) U^dag are read from it, so the zero eigenvalue of alpha 1 - p is
+exactly 0 and the channels carry no sqrt(eps) rounding noise from the square
+root of a singular matrix.
 
 For a state that fails the faithfulness rank test this turns the rank
 deficiency into a concrete pair of channels, read from the same decision the
 certificate makes: the right singular vectors past the certificate's rank
 span the operators orthogonal to the image of the state's B -> A map.  E is
 the Hermitian projection onto that span of one fixed generic weight (the one
-the PC-Q measurement also uses), G the traceless part of E, and
-D(X) = <E, X> G is decomposed.  The span is fixed by the rank decision
-alone, so E, G and D do not depend on which basis the SVD returns for a
-degenerate cokernel.  The resulting channels differ (their Choi matrices are
-far apart) yet produce identical outputs on the probe, which is exactly the
-information the probe cannot see.
+the PC-Q measurement also uses), G the traceless part of E, and the map
+D(X) = <E, X> G, whose Choi matrix is E^T (x) G, is split.  The span is
+fixed by the rank decision alone, so E, G and D do not depend on which basis
+the SVD returns for a degenerate cokernel.  The resulting channels differ
+(their Choi matrices are far apart) yet produce identical outputs on the
+probe, which is exactly the information the probe cannot see.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _eigen_terms, apply_on_A
+from .channels import Channel, _eigen_terms, act_on_first, choi_to_transfer
 from .duality import TransferMatrix, _decide_faithful
-from .linalg import unvec, vec, weight_in_span
+from .linalg import partial_trace, unvec, vec, weight_in_span
 from .states import BipartiteState
 
 TRACE_ANNIHILATION_TOL = 1e-10
@@ -113,6 +112,21 @@ def conjugation_decomposition(m: HermitianPreservingMap) -> list[tuple[float, np
     return [(float(lam), v) for lam, v in zip(w, ops) if abs(lam) > cutoff]
 
 
+def _channel_pair(c: np.ndarray, d: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """alpha and the Choi matrices of K0 and K1 for the trace-annihilating d -> d map with Choi matrix ``c``."""
+    h = (c + c.conj().T) / 2
+    w, q = np.linalg.eigh(h)
+    positive = (q * np.maximum(w, 0.0)) @ q.conj().T
+    v, u = np.linalg.eigh(partial_trace(positive, (d, d), "B").T)
+    alpha = float(v[-1])
+    if alpha <= 0.0:
+        raise ValueError("the zero map has no channel-difference decomposition")
+    # alpha 1 - p shares p's eigenvectors, and its zero eigenvalue alpha - v[-1] is exactly 0
+    slack = vec((u * np.sqrt(alpha - v)) @ u.conj().T)
+    s = np.outer(slack, slack.conj())
+    return alpha, (positive + s) / alpha, (positive - h + s) / alpha
+
+
 def decompose_channel_difference(m: HermitianPreservingMap) -> tuple[float, Channel, Channel]:
     """Split a trace-annihilating Hermitian-preserving map into alpha * (K0 - K1).
 
@@ -125,33 +139,18 @@ def decompose_channel_difference(m: HermitianPreservingMap) -> tuple[float, Chan
     if m.transfer.dim_out != d:
         raise ValueError("only square maps can be split into a channel difference")
     _check_trace_annihilating(m)
-    terms = conjugation_decomposition(m)
-    positive = [(lam, v) for lam, v in terms if lam >= 0]
-    negative = [(lam, v) for lam, v in terms if lam < 0]
-    p = np.zeros((d, d), dtype=complex)
-    for lam, v in positive:
-        p += lam * (v.conj().T @ v)
-    w, u = np.linalg.eigh((p + p.conj().T) / 2)
-    alpha = float(w[-1])
-    if alpha <= 0.0:
-        raise ValueError("the zero map has no channel-difference decomposition")
-    # alpha 1 - p shares p's eigenvectors, and its zero eigenvalue alpha - w[-1] is exactly 0
-    slack = (u * np.sqrt(alpha - w)) @ u.conj().T
-    extra = [] if np.linalg.norm(slack) <= 1e-12 * math.sqrt(alpha * d) else [slack / math.sqrt(alpha)]
-    k0_ops = [math.sqrt(lam / alpha) * v for lam, v in positive] + extra
-    k1_ops = [math.sqrt(-lam / alpha) * v for lam, v in negative] + extra
-    return alpha, Channel.from_kraus(k0_ops), Channel.from_kraus(k1_ops)
+    alpha, c0, c1 = _channel_pair(m.transfer.choi(), d)
+    return alpha, Channel.from_choi(c0, d, d), Channel.from_choi(c1, d, d)
 
 
 def mix_with_identity(channel: Channel, eps: float) -> Channel:
-    """Convex mixture (1 - eps) * channel + eps * identity, in Kraus form."""
+    """Convex mixture (1 - eps) * channel + eps * identity, as one sum of Choi matrices."""
     if not 0.0 <= eps < 1.0:
         raise ValueError("mixing weight must lie in [0, 1)")
     if channel.dim_in != channel.dim_out:
         raise ValueError("only square channels can be mixed with the identity")
-    ops = [math.sqrt(1.0 - eps) * k for k in channel.kraus()]
-    ops.append(math.sqrt(eps) * np.eye(channel.dim_in, dtype=complex))
-    return Channel.from_kraus(ops)
+    d = channel.dim_in
+    return Channel.from_choi((1.0 - eps) * channel.choi() + eps * Channel.identity(d).choi(), d, d)
 
 
 def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.0) -> WitnessPair | None:
@@ -164,12 +163,13 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     the probe's map into that side.  E is the projection onto that span of
     the fixed Hermitian weight the PC-Q measurement also uses (see
     :func:`aapt.linalg.weight_in_span`), normalized, and G its traceless
-    part, normalized; D(X) = <E, X> G is decomposed into channels.  D kills
-    the whole image, so the two channels agree on the probe; their Choi
-    matrices are E^T (x) G apart (scaled by 1/alpha), which keeps the
-    channel gap macroscopic.  The state is support-restricted first,
-    matching the certificate; the returned channels act on the restricted
-    side.
+    part, normalized; the Choi matrix E^T (x) G of D(X) = <E, X> G is split
+    into channels.  D kills the whole image, so the two channels agree on
+    the probe; their Choi matrices are E^T (x) G apart (scaled by 1/alpha),
+    which keeps the channel gap macroscopic.  Both gaps are checked on the
+    bare Choi matrices before each is wrapped, once, in its ``Channel``.
+    The state is support-restricted first, matching the certificate; the
+    returned channels act on the restricted side.
     """
     cert, work, matrix = _decide_faithful(state, side, tol)
     if cert.faithful:
@@ -181,14 +181,13 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     # E is orthogonal to the marginal, which lies in the image, so ||G|| >= 1/sqrt(da + 1)
     g_op = e_op - (np.trace(e_op) / da) * np.eye(da)
     g_op = g_op / np.linalg.norm(g_op)
-    t_d = np.outer(vec(g_op), vec(e_op.T))
-    alpha, k0, k1 = decompose_channel_difference(HermitianPreservingMap(TransferMatrix(da, da, t_d)))
-    out0 = apply_on_A(k0, work)
-    out1 = apply_on_A(k1, work)
-    output_gap = float(np.linalg.norm(out0.matrix - out1.matrix))
-    channel_gap = float(np.linalg.norm(k0.choi() - k1.choi()))
+    alpha, c0, c1 = _channel_pair(np.kron(e_op.T, g_op), da)
+    gap = c0 - c1
+    output_gap = float(np.linalg.norm(act_on_first(choi_to_transfer(gap, da, da), work.matrix, work.dims)))
+    channel_gap = float(np.linalg.norm(gap))
     if output_gap > OUTPUT_GAP_TOL:
         raise ArithmeticError(f"witness channels separate the probe outputs by {output_gap:.3e}; construction failed")
     if channel_gap < CHANNEL_GAP_MIN:
         raise ArithmeticError(f"witness channels are numerically identical (Choi gap {channel_gap:.3e})")
+    k0, k1 = Channel.from_choi(c0, da, da), Channel.from_choi(c1, da, da)
     return WitnessPair(k0=k0, k1=k1, alpha=alpha, output_gap=output_gap, channel_gap=channel_gap, side=side)

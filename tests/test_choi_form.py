@@ -3,8 +3,10 @@
 A channel built from a Choi or transfer matrix reads both forms back bit for
 bit, through ``convert`` chains too, since the two are entry permutations of
 each other.  A Kraus-built channel forms its Choi matrix once, in the
-constructor, whatever it is asked afterwards.  One witness and one
-``decompose`` each check trace annihilation once.
+constructor, whatever it is asked afterwards.  ``decompose`` checks trace
+annihilation once; a witness builds its trace-annihilating map itself and
+checks it never.  Mixing a channel with the identity adds Choi matrices and
+forms no Kraus operators.
 """
 
 import itertools
@@ -78,10 +80,10 @@ def check_calls(monkeypatch):
     return calls
 
 
-def test_a_witness_checks_trace_annihilation_once(check_calls):
+def test_a_witness_checks_no_trace_annihilation(check_calls):
     state = product_state(np.diag([0.7, 0.3]), np.diag([0.6, 0.4]))
     assert witness.faithfulness_witness(state) is not None
-    assert len(check_calls) == 1
+    assert check_calls == []
 
 
 def test_decompose_checks_trace_annihilation_once(check_calls, tmp_path):
@@ -90,3 +92,19 @@ def test_decompose_checks_trace_annihilation_once(check_calls, tmp_path):
     out = [str(tmp_path / "k0.json"), str(tmp_path / "k1.json")]
     assert cli.main(["decompose", str(tmp_path / "d.json"), "--out", *out]) == 0
     assert len(check_calls) == 1
+
+
+def test_mixing_a_choi_built_channel_forms_no_kraus_operators(monkeypatch):
+    calls = []
+    original = channels.choi_to_kraus
+
+    def counting(c, dim_in, dim_out):
+        calls.append(1)
+        return original(c, dim_in, dim_out)
+
+    monkeypatch.setattr(channels, "choi_to_kraus", counting)
+    ch = Channel.from_choi(random_cptp(3, 2, seed=8).choi(), 3, 3)
+    mixed = witness.mix_with_identity(ch, 0.25)
+    want = 0.75 * ch.choi() + 0.25 * Channel.identity(3).choi()
+    assert calls == []
+    assert mixed.kind == "choi" and np.array_equal(mixed.choi(), want)

@@ -97,6 +97,11 @@ def test_a_non_finite_projector_is_refused(bad):
         ProjectiveMeasurement((np.diag([bad, 0.0]), E1))
 
 
+def test_a_flat_projector_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"^expected projectors to be matrices, got an array of shape \(2,\)$"):
+        ProjectiveMeasurement((np.diag([1.0, 0.0]), np.ones(2)))
+
+
 def test_a_one_to_one_transfer_matrix_is_writable():
     channel = Channel.from_choi(np.array([[0.5]]), 1, 1)
     t = channel.transfer()
@@ -143,10 +148,37 @@ def test_reconstruction_builds_no_transfer_matrix(built, side):
     assert built == []
 
 
+@pytest.fixture
+def states_built(monkeypatch):
+    """The BipartiteState instances validated while the test runs."""
+    calls = []
+    original = BipartiteState.__post_init__
+
+    def counting(self):
+        calls.append(self)
+        original(self)
+
+    monkeypatch.setattr(BipartiteState, "__post_init__", counting)
+    return calls
+
+
 @pytest.mark.parametrize("side", ["A", "B"])
-def test_a_witness_builds_only_the_map_it_decomposes(built, side):
+def test_noise_stress_validates_only_the_true_output_whatever_the_trials(states_built, side):
+    probe = random_state(2, 2, seed=11)
+    truth = random_cptp(2, 2, seed=12)
+    counts = []
+    for trials in (1, 5):
+        states_built.clear()
+        noise_stress(probe, truth, 1e-3, trials, seed=13, side=side)
+        counts.append(len(states_built))
+    assert counts == [1, 1]
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+def test_a_witness_builds_no_transfer_matrix(built, side):
+    # the witness splits the Choi matrix of its map directly, without wrapping it
     assert faithfulness_witness(PROBES["product"], side) is not None
-    assert len(built) == 1
+    assert built == []
 
 
 def _imports_from(path: Path) -> set[str]:

@@ -60,3 +60,25 @@ def test_prop4_refuses_a_dimension_that_does_not_match_its_spectrum(tmp_path, ca
 def test_families_without_a_seed_still_record_seed_zero(tmp_path, family):
     assert cli.main(["gen", family, "--out", str(tmp_path / "s.json")]) == 0
     assert load(tmp_path / "s.json").meta["seed"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["random", "--da", "0"], "gen --da must be at least 1, got 0"),
+        (["product", "--da", "2", "--db", "-1"], "gen --db must be at least 0, got -1"),
+        (["cq", "--p", "0.5,0.5", "--db", "-1"], "gen --db must be at least 0, got -1"),
+    ],
+    ids=["random_da_0", "product_db_-1", "cq_db_-1"],
+)
+def test_gen_refuses_a_dimension_below_its_least_value_by_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "s.json"
+    assert cli.main(["gen", *argv, "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("family, dims", [("product", (2, 2)), ("random", (2, 2)), ("cq", (1, 1))])
+def test_gen_db_zero_still_means_the_family_default(tmp_path, family, dims):
+    assert cli.main([*_base(family), "--db", "0", "--out", str(tmp_path / "s.json")]) == cli.EXIT_OK
+    assert tuple(load(tmp_path / "s.json").dims) == dims
