@@ -244,7 +244,12 @@ def classify(channel: Channel, tol: float = 1e-10) -> ChannelClassReport:
     )
 
 
-def _apply_first_factor(channel: Channel, state: BipartiteState) -> BipartiteState:
+def apply_on_A(channel: Channel, state: BipartiteState) -> BipartiteState:
+    """Apply ``channel (x) id_B`` to a bipartite state.
+
+    The channel must be square on A, and must be trace preserving for the
+    result to pass state validation.
+    """
     da, db = state.dims
     if channel.dim_in != channel.dim_out or channel.dim_in != da:
         raise ValueError(
@@ -254,18 +259,9 @@ def _apply_first_factor(channel: Channel, state: BipartiteState) -> BipartiteSta
     return BipartiteState(act_on_first(channel.transfer(), state.matrix, state.dims), da, db)
 
 
-def apply_on_A(channel: Channel, state: BipartiteState) -> BipartiteState:
-    """Apply ``channel (x) id_B`` to a bipartite state.
-
-    The channel must be square on A, and must be trace preserving for the
-    result to pass state validation.
-    """
-    return _apply_first_factor(channel, state)
-
-
 def apply_on_B(channel: Channel, state: BipartiteState) -> BipartiteState:
-    """Apply ``id_A (x) channel`` to a bipartite state."""
-    return swap_sides(_apply_first_factor(channel, swap_sides(state)))
+    """Apply ``id_A (x) channel`` to a bipartite state, as :func:`apply_on_A` on the swapped sides."""
+    return swap_sides(apply_on_A(channel, swap_sides(state)))
 
 
 def random_cptp(d: int, env: int, seed) -> Channel:

@@ -116,7 +116,7 @@ def loads(text: str) -> MatrixDocument:
     if not isinstance(raw, dict) or set(raw) != {"kind", "dims", "data", "meta"}:
         raise ValueError("a document needs exactly the keys kind, dims, data, meta")
     dims = raw["dims"]
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):  # not bool (JSON true/false), an int subclass
         raise ValueError("dims must be a list of integers")
     meta = raw["meta"]
     if not isinstance(meta, dict) or not all(isinstance(k, str) and isinstance(v, str) for k, v in meta.items()):

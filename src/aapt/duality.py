@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import _act_on_operator, choi_to_transfer, transfer_to_choi
 from .linalg import RankEvidence, checked_matrix, hermitian_basis, rank_evidence, read_only, tensor, vec
-from .states import BipartiteState, _is_hermitian, orient
+from .states import BipartiteState, _derived_state, _is_hermitian, orient
 
 DIRECTIONS = ("a_to_b", "b_to_a")
 SUPPORT_TOL = 1e-12
@@ -103,7 +103,9 @@ def restrict_support(state: BipartiteState) -> BipartiteState:
     A marginal's support is spanned by its eigenvectors with eigenvalue above
     1e-12.  States whose marginals are already full rank are returned unchanged.
     Otherwise the state is compressed onto the support eigenbases and
-    renormalized, so the output has full-rank marginals on both sides.
+    renormalized, so the output has full-rank marginals on both sides.  The
+    compression iso^dag rho iso / Tr of a valid state is a density matrix,
+    so it is not validated again.
     """
     pa = _support_isometry(state.marginal("A"))
     pb = _support_isometry(state.marginal("B"))
@@ -112,7 +114,7 @@ def restrict_support(state: BipartiteState) -> BipartiteState:
     iso = tensor(pa, pb)
     m = iso.conj().T @ state.matrix @ iso
     m = m / np.trace(m).real
-    return BipartiteState(m, pa.shape[1], pb.shape[1])
+    return _derived_state(m, pa.shape[1], pb.shape[1])
 
 
 @dataclass(frozen=True)

@@ -61,11 +61,14 @@ factorization, decides every other case: a
 side of dimension one, a K that vanishes, a gap too close to the cut, or a
 ``tol`` within a factor of ten of the bound.
 
-The PC-Q measurement comes from one fixed generic Hermitian weight W: its
-orthogonal projection onto the commutant, with the trace removed, is a
-Hermitian commutant element whose spectral projectors give the measurement.
-The projection depends on the commutant only as a subspace, not on the
-basis that spans it, so both routes yield the same projectors.
+:func:`commutant_basis` holds this decision and records its route in
+``slice_bound``.  :func:`certify_sensitive` adds the PC-Q evidence, and
+:func:`extract_pcq` reads it from the certificate.  The PC-Q measurement
+comes from one fixed generic Hermitian weight W: its orthogonal projection
+onto the commutant, with the trace removed, is a Hermitian commutant element
+whose spectral projectors give the measurement.  The projection depends on
+the commutant only as a subspace, not on the basis that spans it, so both
+routes yield the same projectors.
 """
 
 from __future__ import annotations
@@ -104,12 +107,15 @@ class CommutantBasis:
     ``elements`` are Hilbert-Schmidt orthonormal operators on the selected
     side spanning the null space of M -> [M (x) 1, rho]; the scaled identity
     always lies in their span, so ``nullity >= 1``.  ``evidence`` is the
-    rank decision the null space was cut at.
+    rank decision the null space was cut at, and ``slice_bound`` says how it
+    reads: bounds from the slice of the state (see
+    :class:`SensitivityCertificate`), or K's own singular values.
     """
 
     side: str
     elements: tuple[np.ndarray, ...]
     evidence: RankEvidence
+    slice_bound: bool
 
     @property
     def nullity(self) -> int:
@@ -283,22 +289,21 @@ def _slice_nullspace(work: BipartiteState, tol: float, shape: tuple) -> tuple[Ra
     return RankEvidence(da * da - q, bound, ev.largest_dropped, cut), u @ c @ u.conj().T
 
 
-def _commutant(state: BipartiteState, side: str, tol: float) -> tuple[CommutantBasis, bool]:
-    """The commutant basis, and whether the slice bound decided it rather than K."""
+def commutant_basis(state: BipartiteState, side: str = "A", tol: float = 0.0) -> CommutantBasis:
+    """Null space of the local commutator map, as operators on the chosen side.
+
+    The slice of the state decides it where its bound does, and K is
+    decomposed otherwise; ``slice_bound`` records which of the two it was.
+    """
     check_tol(tol)
     work = orient(state, side)
     da, db = work.dims
     found = _slice_nullspace(work, tol, ((da * db) ** 2, da * da))
     if found is not None:
-        return CommutantBasis(side=side, elements=tuple(found[1]), evidence=found[0]), True
+        return CommutantBasis(side=side, elements=tuple(found[1]), evidence=found[0], slice_bound=True)
     ev, null = _svd_nullspace(_commutator_matrix(work.matrix, work.dims), tol)
     elements = tuple(null.T.reshape(-1, da, da).transpose(0, 2, 1))  # each column unstacked, as unvec does
-    return CommutantBasis(side=side, elements=elements, evidence=ev), False
-
-
-def commutant_basis(state: BipartiteState, side: str = "A", tol: float = 0.0) -> CommutantBasis:
-    """Null space of the local commutator map, as operators on the chosen side."""
-    return _commutant(state, side, tol)[0]
+    return CommutantBasis(side=side, elements=elements, evidence=ev, slice_bound=False)
 
 
 def _nonscalar_hermitian(elements: tuple[np.ndarray, ...], d: int) -> np.ndarray:
@@ -336,30 +341,14 @@ def pcq_residual(state: BipartiteState, measurement: ProjectiveMeasurement, side
     return float(np.linalg.norm(pinched - work.matrix))
 
 
-def _extract_from_basis(state: BipartiteState, side: str, basis: CommutantBasis) -> ProjectiveMeasurement | None:
-    if basis.nullity <= 1:
-        return None
-    h = _nonscalar_hermitian(basis.elements, basis.elements[0].shape[0])
-    measurement = ProjectiveMeasurement(tuple(_eigenprojectors(h)))
-    if len(measurement) < 2:
-        raise ArithmeticError("extracted measurement is trivial despite a nontrivial commutant")
-    residual = pcq_residual(state, measurement, side)
-    if residual > PCQ_TOL:
-        raise ArithmeticError(
-            f"extracted measurement perturbs the state (residual {residual:.3e} > {PCQ_TOL}); "
-            "the commutant tolerance and the verification tolerance are inconsistent"
-        )
-    return measurement
-
-
 def extract_pcq(state: BipartiteState, side: str = "A", tol: float = 0.0) -> ProjectiveMeasurement | None:
     """Nontrivial unperturbing measurement on one side, or None.
 
     Returns None exactly when the local commutant is trivial (the state is
     sensitive there).  Otherwise the returned projectors pinch the state to
-    itself within 1e-10.
+    itself within 1e-10.  It reads them from :func:`certify_sensitive`.
     """
-    return _extract_from_basis(state, side, commutant_basis(state, side, tol))
+    return certify_sensitive(state, side, tol=tol).pcq_measurement
 
 
 def certify_sensitive(
@@ -372,16 +361,27 @@ def certify_sensitive(
 
     The two classes are equivalent for this property, so both arguments run
     the same commutant computation; the class is recorded in the certificate
-    to make the equivalence itself testable.
+    to make the equivalence itself testable.  A nontrivial commutant yields
+    the PC-Q measurement, checked to leave the state unperturbed.
     """
     if channel_class not in CHANNEL_CLASSES:
         raise ValueError(f"channel class must be one of {CHANNEL_CLASSES}, got {channel_class!r}")
-    basis, bound = _commutant(state, side, tol)
-    sensitive = basis.nullity == 1
-    measurement = None if sensitive else _extract_from_basis(state, side, basis)
+    basis = commutant_basis(state, side, tol)
+    measurement = None
+    if basis.nullity > 1:
+        h = _nonscalar_hermitian(basis.elements, basis.elements[0].shape[0])
+        measurement = ProjectiveMeasurement(tuple(_eigenprojectors(h)))
+        if len(measurement) < 2:
+            raise ArithmeticError("extracted measurement is trivial despite a nontrivial commutant")
+        residual = pcq_residual(state, measurement, side)
+        if residual > PCQ_TOL:
+            raise ArithmeticError(
+                f"extracted measurement perturbs the state (residual {residual:.3e} > {PCQ_TOL}); "
+                "the commutant tolerance and the verification tolerance are inconsistent"
+            )
     return SensitivityCertificate(
-        sensitive=sensitive, side=side, channel_class=channel_class, nullity=basis.nullity,
-        pcq_measurement=measurement, evidence=basis.evidence, slice_bound=bound,
+        sensitive=basis.nullity == 1, side=side, channel_class=channel_class, nullity=basis.nullity,
+        pcq_measurement=measurement, evidence=basis.evidence, slice_bound=basis.slice_bound,
     )
 
 

@@ -6,7 +6,9 @@ shape and finite entries by :func:`aapt.linalg.checked_matrix`, then the
 Hermitian, positivity and unit-trace rules of one density check that the B
 blocks of :func:`cq_state` share.  Every instance in circulation is
 therefore a physical state, and code inside the package reads its
-``matrix`` as a bare array without checking it again.  The relative
+``matrix`` as a bare array without checking it again.  A state the package
+derives from a checked one, by a side swap or a support restriction, is
+assembled by ``_derived_state`` without a second check.  The relative
 Hermiticity rule is written here once; :mod:`aapt.duality` reads it too.
 """
 
@@ -75,17 +77,21 @@ def _oriented_matrix(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndar
     return m if side == "A" else m.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
 
 
-def swap_sides(state: BipartiteState) -> BipartiteState:
-    """Exchange the roles of A and B (an exact index permutation).
+def _derived_state(m: np.ndarray, dim_a: int, dim_b: int) -> BipartiteState:
+    """A state whose matrix is derived from a checked one, assembled without validating it again.
 
-    Permuting the indices of a valid state gives a valid state, so the result
-    is assembled directly instead of running the validation again.
+    For matrices that are density matrices by construction, such as an index
+    permutation or a renormalized compression of a valid state.
     """
-    m = _oriented_matrix(state.matrix, state.dims, "B")
-    swapped = object.__new__(BipartiteState)
-    for name, value in (("matrix", read_only(m)), ("dim_a", state.dim_b), ("dim_b", state.dim_a)):
-        object.__setattr__(swapped, name, value)
-    return swapped
+    state = object.__new__(BipartiteState)
+    for name, value in (("matrix", read_only(m)), ("dim_a", dim_a), ("dim_b", dim_b)):
+        object.__setattr__(state, name, value)
+    return state
+
+
+def swap_sides(state: BipartiteState) -> BipartiteState:
+    """Exchange the roles of A and B (an exact index permutation, so no validation runs)."""
+    return _derived_state(_oriented_matrix(state.matrix, state.dims, "B"), state.dim_b, state.dim_a)
 
 
 def orient(state: BipartiteState, side: str) -> BipartiteState:
@@ -130,7 +136,7 @@ def cq_state(p, sigmas) -> BipartiteState:
     weights = np.asarray(p, dtype=float)
     if weights.ndim != 1 or weights.size < 1:
         raise ValueError("p must be a nonempty probability vector")
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > TRACE_TOL:
+    if not (np.all(weights >= 0) and abs(weights.sum() - 1.0) <= TRACE_TOL):  # so that NaN fails too
         raise ValueError("p must be nonnegative and sum to 1")
     sigmas = list(sigmas)
     if len(sigmas) != weights.size:
@@ -160,7 +166,7 @@ def unitary_faithful_state(spectrum) -> BipartiteState:
     d = lam.size
     if lam.ndim != 1 or d < 2:
         raise ValueError("spectrum must be a vector of length at least 2")
-    if np.any(lam <= 0) or abs(lam.sum() - 1.0) > TRACE_TOL:
+    if not (np.all(lam > 0) and abs(lam.sum() - 1.0) <= TRACE_TOL):  # so that NaN fails too
         raise ValueError("spectrum must be strictly positive and sum to 1")
     diffs = np.abs(lam[:, None] - lam[None, :])[~np.eye(d, dtype=bool)]
     if diffs.min() <= 1e-12:

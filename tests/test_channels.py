@@ -115,6 +115,16 @@ class TestApplyOnA:
         with pytest.raises(ValueError):
             apply_on_A(Channel.identity(3), random_state(2, 2, seed=0))
 
+    def test_apply_on_b_runs_apply_on_a_once(self, monkeypatch):
+        import aapt.channels as channels
+
+        calls = []
+        real = channels.apply_on_A
+        monkeypatch.setattr(channels, "apply_on_A", lambda ch, st: calls.append(st.dims) or real(ch, st))
+        out = apply_on_B(random_cptp(3, 2, seed=10), random_state(2, 3, seed=9))
+        assert calls == [(3, 2)]
+        assert out.dims == (2, 3)
+
 
 class TestRandomCptp:
     def test_single_environment_gives_unitary(self):

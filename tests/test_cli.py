@@ -55,6 +55,13 @@ class TestGen:
 
 
 class TestCertify:
+    def test_boolean_dims_are_a_usage_error(self, tmp_path):
+        (tmp_path / "bool.json").write_text('{"kind": "state", "dims": [true, true], "data": [[[1, 0]]], "meta": {}}')
+        for mode in ("faithful", "sensitive"):
+            result = run_cli("certify", "bool.json", "--mode", mode, cwd=tmp_path)
+            assert result.returncode == 2, result.stderr
+            assert "dims must be a list of integers" in result.stderr
+
     def test_faithful_verdicts_and_exit_codes(self, tmp_path):
         run_cli("gen", "max-entangled", "--d", "2", "--out", "probe.json", cwd=tmp_path)
         result = run_cli("certify", "probe.json", "--mode", "faithful", "--out", "cert.json", cwd=tmp_path)

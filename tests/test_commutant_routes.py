@@ -15,6 +15,7 @@ from aapt import (
     certify_sensitive,
     commutant_basis,
     cq_state,
+    extract_pcq,
     max_entangled,
     product_state,
     random_cq_state,
@@ -169,3 +170,16 @@ def test_pcq_projectors_survive_a_rounding_level_perturbation(name, side):
     assert len(_projectors(got)) == len(_projectors(want))
     for p, q in zip(_projectors(got), _projectors(want)):
         assert np.max(np.abs(p - q)) <= 1e-12
+
+
+@pytest.mark.parametrize("name, side", NON_SENSITIVE)
+def test_extract_pcq_reads_the_certificate(monkeypatch, name, side):
+    state = PROBES[name]
+    want = _projectors(certify_sensitive(state, side))
+    calls = []
+    real = sensitivity.certify_sensitive
+    monkeypatch.setattr(sensitivity, "certify_sensitive", lambda *a, **k: calls.append(a) or real(*a, **k))
+    got = extract_pcq(state, side)
+    assert len(calls) == 1
+    assert len(got) == len(want)
+    assert all(np.array_equal(p, q) for p, q in zip(got.projectors, want))

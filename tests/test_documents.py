@@ -78,6 +78,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             loads('{"kind": "state", "dims": [2, 2], "data": [[1, 0]]}')
 
+    @pytest.mark.parametrize("dims", ["[true, true]", "[false]", "[2, true]"])
+    def test_boolean_dims_are_refused(self, dims):
+        with pytest.raises(ValueError, match="^dims must be a list of integers$"):
+            loads(f'{{"kind": "state", "dims": {dims}, "data": [[[1, 0]]], "meta": {{}}}}')
+
     def test_kind_mismatch_on_unpacking(self):
         doc = state_document(max_entangled(2))
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from aapt import (
     TransferMatrix,
     apply_on_A,
     certify_faithful,
+    faithfulness_witness,
     hermitian_basis,
     hermitian_restricted_rank,
     map_to_state,
@@ -150,6 +151,19 @@ class TestRestrictSupport:
         assert out.dims == (2, 2)
         for side in ("A", "B"):
             assert np.linalg.eigvalsh(out.marginal(side))[0] > 0
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    @pytest.mark.parametrize("call", [certify_faithful, faithfulness_witness], ids=lambda f: f.__name__)
+    def test_the_compressed_state_is_not_validated_again(self, monkeypatch, call, side):
+        state = product_state(np.diag([0.6, 0.4, 0.0]), random_density(3, 3, 5))
+        want = restrict_support(state)
+        assert want.dims == (2, 3) and np.linalg.eigvalsh(want.matrix)[0] >= -1e-12
+        assert abs(np.trace(want.matrix) - 1) <= 1e-12 and not want.matrix.flags.writeable
+        checks = []
+        real = BipartiteState.__post_init__
+        monkeypatch.setattr(BipartiteState, "__post_init__", lambda self: checks.append(self.dims) or real(self))
+        call(state, side)
+        assert checks == []
 
 
 class TestCertifyFaithful:

@@ -1,4 +1,4 @@
-"""A NaN or infinite tolerance or noise level is refused as such, by the library and by the CLI."""
+"""A NaN or infinite tolerance, noise level, probability or spectrum is refused as such, by the library and by the CLI."""
 
 import math
 
@@ -9,6 +9,7 @@ from aapt import (
     certify_faithful,
     certify_sensitive,
     commutant_basis,
+    cq_state,
     faithfulness_witness,
     max_entangled,
     noise_stress,
@@ -19,6 +20,7 @@ from aapt import (
     rank_and_nullspace,
     rank_evidence,
     reconstruct_channel,
+    unitary_faithful_state,
 )
 from aapt.documents import channel_document, save, state_document
 
@@ -88,3 +90,28 @@ def test_cli_refuses_a_non_finite_tol(files, args, value):
 def test_cli_refuses_a_non_finite_noise(files, value):
     result = run_cli("reconstruct", "probe.json", "--channel", "truth.json", "--noise", value, cwd=files)
     _assert_usage_error(result, NOISE_MESSAGE)
+
+
+P_MESSAGE = "p must be nonnegative and sum to 1"
+SPECTRUM_MESSAGE = "spectrum must be strictly positive and sum to 1"
+
+
+def test_cq_state_refuses_a_nan_probability_by_its_own_name():
+    with pytest.raises(ValueError, match=P_MESSAGE):
+        cq_state([math.nan, 1.0], [np.eye(2) / 2, np.eye(2) / 2])
+
+
+def test_unitary_faithful_state_refuses_a_nan_spectrum_by_its_own_name():
+    with pytest.raises(ValueError, match=SPECTRUM_MESSAGE):
+        unitary_faithful_state([math.nan, 0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [(("cq", "--p", "nan,1"), P_MESSAGE), (("prop4", "--lambda", "nan,0.5,0.5"), SPECTRUM_MESSAGE)],
+    ids=["cq-p", "prop4-lambda"],
+)
+def test_cli_gen_refuses_a_nan_value_by_its_own_name(tmp_path, args, message):
+    result = run_cli("gen", *args, "--out", "s.json", cwd=tmp_path)
+    _assert_usage_error(result, message)
+    assert not (tmp_path / "s.json").exists()

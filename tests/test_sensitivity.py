@@ -102,8 +102,9 @@ class TestCommutantBasis:
 
 
 class TestCommutantBasisFields:
-    def test_fields_are_side_elements_and_evidence(self):
-        assert [f.name for f in dataclasses.fields(CommutantBasis)] == ["side", "elements", "evidence"]
+    def test_fields_are_side_elements_evidence_and_slice_bound(self):
+        # the tolerance is read from the evidence, never held as a second copy
+        assert [f.name for f in dataclasses.fields(CommutantBasis)] == ["side", "elements", "evidence", "slice_bound"]
 
     def test_nullity_and_tol_read_the_elements_and_the_evidence(self):
         blocks = [random_density(2, 2, seed=80 + i) for i in range(3)]
@@ -112,6 +113,23 @@ class TestCommutantBasisFields:
         assert basis.tol == basis.evidence.tol == 1e-9
         with pytest.raises(AttributeError):
             basis.nullity = 1
+
+
+class TestCertifySensitiveRunsTheKernelOnce:
+    @pytest.mark.parametrize(
+        "state, side, slice_bound",
+        [(random_state(3, 3, seed=0), "A", True), (random_state(1, 3, seed=0), "A", False)],
+        ids=["slice_route", "k_route"],
+    )
+    def test_one_commutant_basis_call_per_certificate(self, monkeypatch, state, side, slice_bound):
+        from aapt import sensitivity
+
+        calls = []
+        real = sensitivity.commutant_basis
+        monkeypatch.setattr(sensitivity, "commutant_basis", lambda *args: calls.append(args) or real(*args))
+        cert = certify_sensitive(state, side)
+        assert len(calls) == 1
+        assert cert.slice_bound == real(state, side).slice_bound == slice_bound
 
 
 class TestCertifySensitive:
