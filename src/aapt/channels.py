@@ -49,13 +49,24 @@ def kraus_to_transfer(ops) -> np.ndarray:
     return choi_to_transfer(kraus_to_choi(ops), *ops[0].shape[::-1])
 
 
+def _reshuffle(m: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
+    """The Choi <-> transfer permutation, on a matrix or on every matrix of a stack.
+
+    Each matrix is read as a ``shape`` tensor and its outer two axes are
+    exchanged: ``(d_in, d_out, d_in, d_out)`` takes a Choi matrix to its
+    transfer matrix, ``(d_out, d_out, d_in, d_in)`` a transfer matrix to its
+    Choi matrix.
+    """
+    a, b, c, d = shape
+    return m.reshape(-1, a, b, c, d).transpose(0, 4, 2, 3, 1).reshape(*m.shape[:-2], d * b, c * a)
+
+
 def transfer_to_choi(t, dim_in: int, dim_out: int) -> np.ndarray:
     """Reshuffle a transfer matrix into the corresponding Choi matrix."""
     t = as_operator(t)
     if t.shape != (dim_out * dim_out, dim_in * dim_in):
         raise ValueError(f"transfer matrix of shape {t.shape} does not match dims {dim_in} -> {dim_out}")
-    t4 = t.reshape(dim_out, dim_out, dim_in, dim_in)
-    return t4.transpose(3, 1, 2, 0).reshape(dim_in * dim_out, dim_in * dim_out)
+    return _reshuffle(t, (dim_out, dim_out, dim_in, dim_in))
 
 
 def choi_to_transfer(c, dim_in: int, dim_out: int) -> np.ndarray:
@@ -64,8 +75,7 @@ def choi_to_transfer(c, dim_in: int, dim_out: int) -> np.ndarray:
     n = dim_in * dim_out
     if c.shape != (n, n):
         raise ValueError(f"Choi matrix of shape {c.shape} does not match dims {dim_in} -> {dim_out}")
-    c4 = c.reshape(dim_in, dim_out, dim_in, dim_out)
-    return c4.transpose(3, 1, 2, 0).reshape(dim_out * dim_out, dim_in * dim_in)
+    return _reshuffle(c, (dim_in, dim_out, dim_in, dim_out))
 
 
 def act_on_first(t: np.ndarray, m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

@@ -12,6 +12,16 @@ Both maps are bare arrays reshuffled from state matrices that their
 ``BipartiteState`` already checked, so nothing is re-validated on the way;
 the recovered T is checked once, as it enters its ``Channel``.
 
+One routine recovers a stack of outputs: one reshuffle and one product with
+the inverse for all of them, then one stacked spectrum for the CP
+deviations, and one report per output.  ``reconstruct_channel`` hands it a
+stack of one, ``noise_stress`` the stack of its perturbed outputs, one per
+seeded trial.  A perturbed output m + h, with ||h||_2 <= ||h||_F = noise, is
+positive semidefinite by Weyl's inequality whenever lambda_min(m) - noise
+exceeds the rounding allowance ``WEYL_ALLOWANCE * n * eps`` (a density
+matrix has spectral norm at most 1), and is then only renormalized; only
+otherwise are its eigenvalues clamped at 0 first.
+
 No regularization and no projection back onto the channel set is performed;
 CP and TP violations of the recovered map are reported as first-class
 numbers instead.
@@ -23,9 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply_on_A, apply_on_B, choi_to_transfer
-from .linalg import _svd_pinv, partial_trace
+from .channels import Channel, _reshuffle, apply_on_A, apply_on_B, choi_to_transfer
+from .linalg import _svd_pinv
 from .states import BipartiteState, _oriented_matrix, orient
+
+WEYL_ALLOWANCE = 4
 
 
 class NotFaithfulProbeError(ValueError):
@@ -70,7 +82,7 @@ def reconstruct_channel(
         raise ValueError(f"probe dims {probe.dims} and output dims {output.dims} differ")
     inverse, condition = _invert_probe(probe_w, side, tol)
     truth_choi = None if truth is None else truth.choi()
-    return _recover(orient(output, side).matrix, probe_w.dims, inverse, condition, truth_choi)
+    return _recover(orient(output, side).matrix[None], probe_w.dims, inverse, condition, truth_choi)[0]
 
 
 def _invert_probe(probe_w: BipartiteState, side: str, tol: float) -> tuple[np.ndarray, float]:
@@ -85,38 +97,51 @@ def _invert_probe(probe_w: BipartiteState, side: str, tol: float) -> tuple[np.nd
 
 
 def _recover(
-    output_w: np.ndarray, dims: tuple[int, int], inverse: np.ndarray, condition: float, truth_choi: np.ndarray | None
-) -> ReconstructionReport:
-    """Report for the channel that maps the probe's B -> A map to that of the oriented output matrix on ``dims``."""
-    d = dims[0]
-    channel = Channel.from_transfer(choi_to_transfer(output_w, *dims).T @ inverse, d, d)
-    choi = channel.choi()
-    hermitian = (choi + choi.conj().T) / 2
-    return ReconstructionReport(
-        channel=channel,
-        condition=condition,
-        cp_deviation=max(0.0, -float(np.linalg.eigvalsh(hermitian)[0])),
-        tp_deviation=float(np.linalg.norm(partial_trace(hermitian, (d, d), "B") - np.eye(d))),
-        choi_error=None if truth_choi is None else float(np.linalg.norm(choi - truth_choi)),
-    )
+    outputs_w: np.ndarray, dims: tuple[int, int], inverse: np.ndarray, condition: float, truth_choi: np.ndarray | None
+) -> list[ReconstructionReport]:
+    """One report per oriented output matrix on ``dims`` in the stack ``outputs_w``.
+
+    Each reports the channel that maps the probe's B -> A map to that of its
+    output; the norms are taken per matrix.
+    """
+    da, db = dims
+    transfers = _reshuffle(outputs_w, (da, db, da, db)).swapaxes(1, 2) @ inverse
+    chois = _reshuffle(transfers, (da,) * 4)
+    hermitian = (chois + chois.conj().swapaxes(1, 2)) / 2
+    lowest = np.linalg.eigvalsh(hermitian)[:, 0]
+    tp_gaps = np.einsum("tabcb->tac", hermitian.reshape(-1, da, da, da, da)) - np.eye(da)
+    return [
+        ReconstructionReport(
+            channel=Channel.from_transfer(t, da, da),
+            condition=condition,
+            cp_deviation=max(0.0, -float(low)),
+            tp_deviation=float(np.linalg.norm(gap)),
+            choi_error=None if truth_choi is None else float(np.linalg.norm(choi - truth_choi)),
+        )
+        for t, choi, low, gap in zip(transfers, chois, lowest, tp_gaps)
+    ]
 
 
-def _perturb(m: np.ndarray, noise: float, g: np.random.Generator) -> np.ndarray:
-    """Add a traceless Hermitian kick of Frobenius norm ``noise`` to a state matrix, then repair.
+def _perturb(m: np.ndarray, noise: float, seeds: list[np.random.SeedSequence]) -> np.ndarray:
+    """The stack of ``m`` plus one traceless Hermitian kick of Frobenius norm ``noise`` per seed, repaired.
 
-    The perturbed matrix is projected back to positive semidefinite by
-    eigenvalue clamping and renormalized to unit trace, so the result is a
-    density matrix by construction and is not validated again.
+    Each kick is drawn from its own seed, real part then imaginary part.
+    The sums are clamped back to positive semidefinite only when Weyl's
+    bound (see the module docstring) does not already show they are, then
+    renormalized to unit trace, so the stack holds density matrices by
+    construction and is not validated again.
     """
     n = m.shape[0]
-    x = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-    h = (x + x.conj().T) / 2
-    h -= (np.trace(h) / n) * np.eye(n)
-    h *= noise / np.linalg.norm(h)
-    w, v = np.linalg.eigh(m + h)
-    w = np.clip(w, 0.0, None)
-    out = (v * w) @ v.conj().T
-    return out / np.trace(out).real
+    draws = [np.random.default_rng(seed) for seed in seeds]
+    x = np.stack([g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)) for g in draws])
+    h = (x + x.conj().swapaxes(1, 2)) / 2
+    h -= (np.trace(h, axis1=1, axis2=2) / n)[:, None, None] * np.eye(n)
+    h *= noise / np.array([np.linalg.norm(k) for k in h])[:, None, None]
+    out = m + h
+    if np.linalg.eigvalsh(m)[0] - noise <= WEYL_ALLOWANCE * n * np.finfo(float).eps:
+        w, v = np.linalg.eigh(out)
+        out = (v * np.clip(w, 0.0, None)[:, None, :]) @ v.conj().swapaxes(1, 2)
+    return out / np.trace(out, axis1=1, axis2=2).real[:, None, None]
 
 
 def noise_stress(
@@ -128,15 +153,19 @@ def noise_stress(
     side: str = "A",
     tol: float = 0.0,
 ) -> list[ReconstructionReport]:
-    """Reconstruction accuracy under perturbed output states.
+    """Reconstruction accuracy under perturbed output states, one report per seeded trial.
 
     Each trial perturbs the true output by a random traceless Hermitian
-    matrix of Frobenius norm ``noise`` (re-projected to a valid state) and
-    reconstructs; ``noise=0`` reduces to the exact setting.  Trials use
-    seeds spawned per index, so the report list is deterministic.  The probe
-    is inverted, and ``truth`` converted to its Choi matrix, once for all
-    trials.  A 1x1 state has no traceless perturbation, so it takes only
-    ``noise=0``.
+    matrix of Frobenius norm ``noise`` and reconstructs; ``noise=0`` reduces
+    to the exact setting.  Trials use seeds spawned per index, so the report
+    list is deterministic.  The trials run as one stack: the probe is
+    inverted, ``truth`` converted to its Choi matrix and the true output's
+    smallest eigenvalue read once for all of them.  A perturbed output is
+    re-projected to a valid state (eigenvalues clamped at 0, unit trace)
+    only where Weyl's bound, lambda_min - noise above ``WEYL_ALLOWANCE * n
+    * eps``, cannot show that it is one already; otherwise it is only
+    renormalized.  A 1x1 state has no traceless perturbation, so it takes
+    only ``noise=0``.
     """
     if not (np.isfinite(noise) and noise >= 0):
         raise ValueError(f"noise must be finite and nonnegative, got {noise}")
@@ -147,9 +176,7 @@ def noise_stress(
     probe_w = orient(probe, side)
     base = apply_on_A(truth, probe) if side == "A" else apply_on_B(truth, probe)
     inverse, condition = _invert_probe(probe_w, side, tol)
-    truth_choi = truth.choi()
-    reports = []
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        m = base.matrix if noise == 0 else _perturb(base.matrix, noise, np.random.default_rng(child))
-        reports.append(_recover(_oriented_matrix(m, base.dims, side), probe_w.dims, inverse, condition, truth_choi))
-    return reports
+    seeds = np.random.SeedSequence(seed).spawn(trials)
+    m = base.matrix
+    outputs = np.broadcast_to(m, (trials, *m.shape)) if noise == 0 else _perturb(m, noise, seeds)
+    return _recover(_oriented_matrix(outputs, base.dims, side), probe_w.dims, inverse, condition, truth.choi())

@@ -366,14 +366,15 @@ def certify_sensitive(
     """
     if channel_class not in CHANNEL_CLASSES:
         raise ValueError(f"channel class must be one of {CHANNEL_CLASSES}, got {channel_class!r}")
-    basis = commutant_basis(state, side, tol)
+    work = orient(state, side)
+    basis = commutant_basis(work, "A", tol)
     measurement = None
     if basis.nullity > 1:
         h = _nonscalar_hermitian(basis.elements, basis.elements[0].shape[0])
         measurement = ProjectiveMeasurement(tuple(_eigenprojectors(h)))
         if len(measurement) < 2:
             raise ArithmeticError("extracted measurement is trivial despite a nontrivial commutant")
-        residual = pcq_residual(state, measurement, side)
+        residual = pcq_residual(work, measurement)
         if residual > PCQ_TOL:
             raise ArithmeticError(
                 f"extracted measurement perturbs the state (residual {residual:.3e} > {PCQ_TOL}); "

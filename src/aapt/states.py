@@ -72,9 +72,9 @@ class BipartiteState:
 
 
 def _oriented_matrix(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
-    """A bare matrix on A (x) B of ``dims`` with the named side first: for B, an exact index permutation."""
+    """A bare matrix on A (x) B of ``dims``, or a stack of them, with the named side first (for B, a permutation)."""
     da, db = dims
-    return m if side == "A" else m.reshape(da, db, da, db).transpose(1, 0, 3, 2).reshape(da * db, da * db)
+    return m if side == "A" else m.reshape(-1, da, db, da, db).transpose(0, 2, 1, 4, 3).reshape(m.shape)
 
 
 def _derived_state(m: np.ndarray, dim_a: int, dim_b: int) -> BipartiteState:

@@ -131,6 +131,17 @@ class TestCertifySensitiveRunsTheKernelOnce:
         assert len(calls) == 1
         assert cert.slice_bound == real(state, side).slice_bound == slice_bound
 
+    def test_a_side_b_state_is_oriented_once(self, monkeypatch):
+        from aapt import states
+
+        state = product_state(random_density(3, 3, 1), random_density(2, 2, 2))
+        calls = []
+        real = states.swap_sides
+        monkeypatch.setattr(states, "swap_sides", lambda st: calls.append(st.dims) or real(st))
+        cert = certify_sensitive(state, "B")
+        assert not cert.sensitive and cert.side == "B"
+        assert calls == [(3, 2)]
+
 
 class TestCertifySensitive:
     def test_unitary_faithful_state_is_sensitive(self):
