@@ -77,12 +77,18 @@ def _cut_data(ev: RankEvidence) -> np.ndarray:
     return np.array([ev.smallest_kept, ev.largest_dropped], dtype=complex)
 
 
-def _encode_data(arr: np.ndarray) -> str:
-    if arr.ndim == 1:
-        pairs = ",".join(f"[{format_number(z.real)},{format_number(z.imag)}]" for z in arr)
-        return f"[{pairs}]"
-    inner = ",\n".join(_encode_data(sub) for sub in arr)
+def _data_template(shape: tuple[int, ...]) -> str:
+    """The layout of a data array of ``shape``: one ``[%.17g,%.17g]`` per entry, a line per row and block."""
+    if len(shape) == 1:
+        return "[" + ",".join(["[%.17g,%.17g]"] * shape[0]) + "]"
+    inner = ",\n".join([_data_template(shape[1:])] * shape[0])
     return f"[\n{inner}\n]"
+
+
+def _encode_data(arr: np.ndarray) -> str:
+    # one %-format over every real and imaginary part; '%.17g' % x is format_number(x) for finite x,
+    # and MatrixDocument refuses non-finite data
+    return _data_template(arr.shape) % tuple(np.stack([arr.real, arr.imag], axis=-1).ravel().tolist())
 
 
 def dumps(doc: MatrixDocument) -> str:

@@ -68,7 +68,13 @@ comes from one fixed generic Hermitian weight W: its orthogonal projection
 onto the commutant, with the trace removed, is a Hermitian commutant element
 whose spectral projectors give the measurement.  The projection depends on
 the commutant only as a subspace, not on the basis that spans it, so both
-routes yield the same projectors.
+routes yield the same projectors.  The measurement is built and checked in
+the eigenbasis V of that element h: one ``eigh(h)`` is split into clusters,
+each projector is the product of one cluster's block of V with its adjoint,
+and in X = (V (x) 1)^dag rho (V (x) 1) pinching keeps the blocks X_ac with a
+and c in one cluster, so the self-check reads the norm of the other blocks.
+No array beyond m d_A^2 + n^2 entries is formed for m projectors.
+:func:`pcq_residual` stays the public check for any measurement.
 """
 
 from __future__ import annotations
@@ -128,7 +134,15 @@ class CommutantBasis:
 
 @dataclass(frozen=True)
 class ProjectiveMeasurement:
-    """A complete family of mutually orthogonal Hermitian projectors."""
+    """A complete family of mutually orthogonal Hermitian projectors.
+
+    Each projector is checked for Hermiticity and idempotence, their sum for
+    the identity, and each P_i against the later P_j, one block row at a
+    time, for orthogonality; every check holds to 1e-10.  A certificate's
+    measurement is built in the eigenbasis of one Hermitian commutant
+    element and checked against its state there; :func:`pcq_residual` is
+    the check of any measurement against any state.
+    """
 
     projectors: tuple[np.ndarray, ...]
 
@@ -153,11 +167,11 @@ class ProjectiveMeasurement:
             raise ValueError("all projectors must share one dimension")
         if np.linalg.norm(stack.sum(axis=0) - np.eye(d)) > PROJECTOR_TOL:
             raise ValueError("projectors must resolve the identity")
-        # one product of every projector with every other, block (i, j) holding P_i P_j as real pairs
-        products = stack.reshape(-1, d) @ stack.transpose(1, 0, 2).reshape(d, -1)
-        products = products.view(float).reshape(len(ops), d, len(ops), 2 * d)
-        if np.any(np.triu(np.sqrt(np.einsum("iajc,iajc->ij", products, products)), 1) > PROJECTOR_TOL):
-            raise ValueError("projectors must be mutually orthogonal")
+        # P_i against every later P_j, one block row at a time, so no m^2 d^2 block is formed
+        for i in range(len(ops) - 1):
+            row = (stack[i] @ stack[i + 1 :]).reshape(len(ops) - 1 - i, -1).view(float)  # P_i P_j as real pairs
+            if (np.sqrt((row * row).sum(axis=1)) > PROJECTOR_TOL).any():
+                raise ValueError("projectors must be mutually orthogonal")
         object.__setattr__(self, "projectors", tuple(read_only(p) for p in ops))
 
     def __len__(self) -> int:
@@ -223,6 +237,19 @@ def _complete_graph(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(read_only(x) for x in (a, b, np.eye(d, dtype=complex)[a] - np.eye(d)[b]))
 
 
+def _rotate_first(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(U (x) 1)^dag rho (U (x) 1) for a unitary U on the first factor, by two products on its index."""
+    da = u.shape[0]
+    left = (u.conj().T @ rho.reshape(da, -1)).reshape(rho.shape)
+    return (u.T @ left.T.reshape(da, -1)).reshape(rho.shape).T
+
+
+def _block_norms(rotated: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """The squared norms ||X_ac||^2 of the d_B x d_B blocks X_ac of a bipartite matrix, as a d_A x d_A array."""
+    r4 = rotated.reshape(dims[0], dims[1], dims[0], dims[1])
+    return np.einsum("abcd,abcd->ac", r4, r4.conj()).real
+
+
 def _restricted_commutator(rotated: np.ndarray, dims: tuple[int, int], ranges: list[range]) -> tuple[np.ndarray, tuple]:
     """A matrix with the singular values and right singular vectors of K on V, and the pairs spanning V.
 
@@ -235,10 +262,9 @@ def _restricted_commutator(rotated: np.ndarray, dims: tuple[int, int], ranges: l
     weighted by (||X_ab||^2 + ||X_ba||^2)^(1/2), one row per pair.
     Otherwise K's columns for V are built in full.
     """
-    da, db = dims
+    da = dims[0]
     if len(ranges) == da:
-        r4 = rotated.reshape(da, db, da, db)
-        w2 = np.einsum("abcd,abcd->ac", r4, r4.conj()).real  # ||X_ac||^2
+        w2 = _block_norms(rotated, dims)
         a, b, incidence = _complete_graph(da)
         return incidence * np.sqrt(w2[a, b] + w2[b, a])[:, None], (np.arange(da),) * 2
     pairs = tuple(np.array([(i, j) for r in ranges for i in r for j in r]).T)
@@ -268,9 +294,7 @@ def _slice_nullspace(work: BipartiteState, tol: float, shape: tuple) -> tuple[Ra
     ranges = _clusters(lam, math.sqrt(cut * big))
     gaps = [lam[r.start] - lam[r.start - 1] for r in ranges[1:]]
     g = min(gaps, default=math.inf) - 4 * da * EPS * max(-lam[0], lam[-1])  # less what rounding moves
-    # rho in the eigenbasis of H, (U (x) 1)^dag rho (U (x) 1), by two products on the A index
-    left = (u.conj().T @ rho.reshape(da, -1)).reshape(rho.shape)
-    kv, pairs = _restricted_commutator((u.T @ left.T.reshape(da, -1)).reshape(rho.shape).T, work.dims, ranges)
+    kv, pairs = _restricted_commutator(_rotate_first(rho, u), work.dims, ranges)
     # ||K||_F^2 = 2 d_A ||rho||_F^2 - 2 ||rho_B||_F^2, over at most d_A^2 - 1 nonzero singular values
     rho_b = rho.reshape(da, db, da, db).trace(axis1=0, axis2=2)
     sigma_lo = math.sqrt(max(2 * da * norm2 - 2 * float(np.vdot(rho_b, rho_b).real), 0.0) / (da * da - 1))
@@ -316,18 +340,30 @@ def _nonscalar_hermitian(elements: tuple[np.ndarray, ...], d: int) -> np.ndarray
     return weight_in_span(np.stack(elements), d, traceless=True)
 
 
-def _eigenprojectors(h: np.ndarray) -> list[np.ndarray]:
-    """Spectral projectors of a Hermitian matrix with eigenvalue clustering.
+def _eigensplit(h: np.ndarray) -> tuple[np.ndarray, list[range]]:
+    """Eigenvectors of a Hermitian matrix and the index ranges of its eigenvalue clusters.
 
-    Eigenvalues closer than 1e-8 of the spectral range are merged into one
-    projector, so numerically degenerate spectra do not fragment.
+    Eigenvalues closer than 1e-8 of the spectral range share one cluster, so
+    numerically degenerate spectra do not fragment; each cluster's columns
+    span one spectral projector.
     """
     w, v = np.linalg.eigh(h)
     spread = float(w[-1] - w[0])
     if spread <= 0.0:
         raise ArithmeticError("operator is numerically scalar; no nontrivial spectral projectors exist")
-    blocks = [v[:, r.start : r.stop] for r in _clusters(w.tolist(), EIGENVALUE_CLUSTER_RTOL * spread)]
-    return [block @ block.conj().T for block in blocks]
+    return v, _clusters(w.tolist(), EIGENVALUE_CLUSTER_RTOL * spread)
+
+
+def _split_residual(work: BipartiteState, v: np.ndarray, ranges: list[range]) -> float:
+    """:func:`pcq_residual` of the spectral projectors of one split, read in its eigenbasis.
+
+    With X = (V (x) 1)^dag rho (V (x) 1), pinching keeps the blocks X_ac
+    with a and c in one cluster and zeroes the rest, so the distance is the
+    norm of the blocks between clusters.
+    """
+    labels = np.repeat(np.arange(len(ranges)), [len(r) for r in ranges])
+    norms = _block_norms(_rotate_first(work.matrix, v), work.dims)
+    return math.sqrt(float(norms[labels[:, None] != labels].sum()))
 
 
 def pcq_residual(state: BipartiteState, measurement: ProjectiveMeasurement, side: str = "A") -> float:
@@ -370,11 +406,12 @@ def certify_sensitive(
     basis = commutant_basis(work, "A", tol)
     measurement = None
     if basis.nullity > 1:
-        h = _nonscalar_hermitian(basis.elements, basis.elements[0].shape[0])
-        measurement = ProjectiveMeasurement(tuple(_eigenprojectors(h)))
+        v, ranges = _eigensplit(_nonscalar_hermitian(basis.elements, basis.elements[0].shape[0]))
+        blocks = [v[:, r.start : r.stop] for r in ranges]
+        measurement = ProjectiveMeasurement(tuple(block @ block.conj().T for block in blocks))
         if len(measurement) < 2:
             raise ArithmeticError("extracted measurement is trivial despite a nontrivial commutant")
-        residual = pcq_residual(work, measurement)
+        residual = _split_residual(work, v, ranges)
         if residual > PCQ_TOL:
             raise ArithmeticError(
                 f"extracted measurement perturbs the state (residual {residual:.3e} > {PCQ_TOL}); "

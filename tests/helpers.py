@@ -33,6 +33,17 @@ def random_complex(shape, seed):
     return g.standard_normal(shape) + 1j * g.standard_normal(shape)
 
 
+def eigenprojectors(h):
+    """Spectral projectors of a Hermitian matrix, neighbouring eigenvalues within 1e-8 of the spread merged.
+
+    The rule the PC-Q measurement is built by, written out here as an oracle.
+    """
+    w, v = np.linalg.eigh(h)
+    gap = 1e-8 * (w[-1] - w[0])
+    cuts = [0, *(i for i in range(1, len(w)) if w[i] - w[i - 1] > gap), len(w)]
+    return [v[:, a:b] @ v[:, a:b].conj().T for a, b in zip(cuts, cuts[1:])]
+
+
 def build_corpus():
     """Deterministic zoo of probe states covering every family, 200+ entries."""
     states = [

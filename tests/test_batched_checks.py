@@ -61,6 +61,20 @@ def loop_check(ops):
 Q = haar_unitary(4, 11)
 RANK1 = [np.outer(Q[:, i], Q[:, i].conj()) for i in range(4)]
 NOT_HERMITIAN = RANK1[0] + 1e-6 * np.triu(np.ones((4, 4)), 1)
+# within PROJECTOR_TOL of Hermitian, idempotent and complete, but ||P0 P1|| is about 1.07e-10
+A, EPSILON = np.sqrt(5e-11), 4.5e-11
+NEARLY_ORTHOGONAL = [np.array([[1.0, A], [A, 0.0]]), (1 - EPSILON) * np.eye(2) - np.array([[1.0, A], [A, 0.0]])]
+
+
+def embedded_at_7_and_9(pair):
+    """Twelve diagonal rank-one projectors, those at 7 and 9 replaced by ``pair`` acting on basis vectors 7 and 9."""
+    ops = [np.diag(np.eye(12)[k]) for k in range(12)]
+    for k, p in zip((7, 9), pair):
+        ops[k] = np.zeros((12, 12))
+        ops[k][np.ix_((7, 9), (7, 9))] = p
+    return ops
+
+
 FAMILIES = {
     "valid": RANK1,
     "valid_coarse": [RANK1[0] + RANK1[1], RANK1[2] + RANK1[3]],
@@ -72,6 +86,8 @@ FAMILIES = {
     "incomplete": RANK1[:3],
     "overlapping": [RANK1[0] + RANK1[1], RANK1[1] + RANK1[2], RANK1[3]],
     "with_a_zero_projector": [RANK1[0], RANK1[1] + RANK1[2], np.zeros((4, 4)), RANK1[3]],
+    "nearly_orthogonal": NEARLY_ORTHOGONAL,
+    "nearly_orthogonal_past_the_first_row": embedded_at_7_and_9(NEARLY_ORTHOGONAL),
 }
 
 

@@ -26,10 +26,10 @@ from aapt import (
 )
 from aapt import sensitivity
 from aapt.linalg import default_rank_tol
-from aapt.sensitivity import _commutator_matrix, _eigenprojectors, _nonscalar_hermitian
+from aapt.sensitivity import _commutator_matrix, _nonscalar_hermitian
 from aapt.states import orient
 
-from helpers import random_complex
+from helpers import eigenprojectors as _eigenprojectors, random_complex
 
 
 def _basis_state(d, i):
