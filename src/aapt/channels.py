@@ -310,10 +310,8 @@ def schur_channel(corr) -> Channel:
     reads from ``corr`` as the Choi matrix of a 1 -> d map, so a non-PSD
     ``corr`` is refused by that function's CP rule and message.
     """
-    c = as_operator(corr)
-    d = c.shape[0]
-    if c.shape != (d, d):
-        raise ValueError("correlation matrix must be square")
+    d = len(np.atleast_1d(corr))
+    c = checked_matrix(corr, (d, d), "correlation matrix")
     if np.abs(np.diagonal(c) - 1.0).max() > CP_TOL:
         raise ValueError("correlation matrix must have unit diagonal")
     return Channel.from_kraus([np.diag(k[:, 0]) for k in choi_to_kraus(c, 1, d)])

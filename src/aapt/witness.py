@@ -21,15 +21,16 @@ root of a singular matrix.
 
 For a state that fails the faithfulness rank test this turns the rank
 deficiency into a concrete pair of channels, read from the same decision the
-certificate makes: the right singular vectors past the certificate's rank
-span the operators orthogonal to the image of the state's B -> A map.  E is
-the Hermitian projection onto that span of one fixed generic weight (the one
-the PC-Q measurement also uses), G the traceless part of E, and the map
-D(X) = <E, X> G, whose Choi matrix is E^T (x) G, is split.  The span is
-fixed by the rank decision alone, so E, G and D do not depend on which basis
-the SVD returns for a degenerate cokernel.  The resulting channels differ
-(their Choi matrices are far apart) yet produce identical outputs on the
-probe, which is exactly the information the probe cannot see.
+certificate makes: the null space of the conjugate of the certificate's
+matrix, cut at the certificate's tolerance, spans the operators orthogonal
+to the image of the state's B -> A map.  E is the Hermitian projection onto
+that span of one fixed generic weight (the one the PC-Q measurement also
+uses), G the traceless part of E, and the map D(X) = <E, X> G, whose Choi
+matrix is E^T (x) G, is split.  The span is fixed by the rank decision
+alone, so E, G and D do not depend on which basis the null-space rule
+returns for a degenerate cokernel.  The resulting channels differ (their
+Choi matrices are far apart) yet produce identical outputs on the probe,
+which is exactly the information the probe cannot see.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 
 from .channels import Channel, _eigen_terms, act_on_first, choi_to_transfer
 from .duality import TransferMatrix, _decide_faithful
-from .linalg import partial_trace, unvec, vec, weight_in_span
+from .linalg import _svd_nullspace, partial_trace, vec, weight_in_span
 from .states import BipartiteState
 
 TRACE_ANNIHILATION_TOL = 1e-10
@@ -157,11 +158,12 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     """Explicit channel pair a non-faithful probe cannot distinguish.
 
     Returns None exactly when :func:`certify_faithful` holds on the chosen
-    side, since both read the same rank decision.  Otherwise the rows of
-    ``vh`` past the certificate's rank, in the full SVD of the matrix that
-    decision was read from, span the operators orthogonal to the image of
-    the probe's map into that side.  E is the projection onto that span of
-    the fixed Hermitian weight the PC-Q measurement also uses (see
+    side, since both read the same rank decision.  Otherwise the null space
+    of the conjugate of the matrix that decision was read from, cut by
+    :func:`aapt.linalg.rank_and_nullspace`'s rule at the certificate's own
+    tolerance, spans the operators orthogonal to the image of the probe's
+    map into that side.  E is the projection onto that span of the fixed
+    Hermitian weight the PC-Q measurement also uses (see
     :func:`aapt.linalg.weight_in_span`), normalized, and G its traceless
     part, normalized; the Choi matrix E^T (x) G of D(X) = <E, X> G is split
     into channels.  D kills the whole image, so the two channels agree on
@@ -175,8 +177,9 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     if cert.faithful:
         return None
     da = work.dim_a
-    _, _, vh = np.linalg.svd(matrix)
-    e_op = weight_in_span(np.stack([unvec(row, (da, da)) for row in vh[cert.rank :]]), da)
+    # null(conj M) is the complement of the image of M^T, the B -> A map; cut where the certificate cut M
+    _, null = _svd_nullspace(matrix.conj(), cert.evidence.tol)
+    e_op = weight_in_span(null.T.reshape(-1, da, da).transpose(0, 2, 1), da)  # each column unstacked, as unvec does
     e_op = e_op / np.linalg.norm(e_op)
     # E is orthogonal to the marginal, which lies in the image, so ||G|| >= 1/sqrt(da + 1)
     g_op = e_op - (np.trace(e_op) / da) * np.eye(da)

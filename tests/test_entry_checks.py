@@ -47,6 +47,7 @@ ENTRY_POINTS = {
     "TransferMatrix": ("transfer matrix", np.ones((9, 4)), lambda m: TransferMatrix(2, 3, m), None),
     "Channel.apply": ("operator", np.eye(2), lambda m: Channel.identity(2).apply(m), None),
     "TransferMatrix.apply": ("operator", np.eye(2), lambda m: TransferMatrix(2, 2, np.eye(4)).apply(m), None),
+    "schur_channel": ("correlation matrix", np.eye(2), aapt.schur_channel, None),
     "ProjectiveMeasurement": (
         "projectors", E1, lambda m: ProjectiveMeasurement((E0, m)), r"^all projectors must share one dimension$"
     ),

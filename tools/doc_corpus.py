@@ -18,15 +18,26 @@ those commands are written by library calls and land in OUTDIR too.
 ``exit_codes.json`` maps each command line to its exit status.  Comparing
 two trees is then one command: run this once per tree into separate
 directories and ``diff -r`` them.
+
+With ``--manifest FILE`` the corpus's manifest is also written to FILE
+(never into OUTDIR, whose every other file is a document).  The manifest
+holds no floats: the exit code of each command, and for each document its
+``kind``, ``dims``, the shape of its ``data`` and its discrete ``meta``
+fields (``MANIFEST_META``).  The committed copy that the test suite checks
+the corpus against is rewritten by
+
+    PYTHONPATH=src python tools/doc_corpus.py OUTDIR --manifest tests/data/corpus_manifest.json
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
+
+import numpy as np
 
 import aapt
 from aapt import cli, documents
@@ -34,6 +45,12 @@ from aapt import cli, documents
 SEEDS = (0, 1)
 CQ_WEIGHTS = ("1", "0.5,0.5", "0.2,0.3,0.5", "0.25,0.25,0.25,0.25")
 NOISES = ("0", "1e-3")
+EXIT_CODES = "exit_codes.json"
+MISSING = "(none)"
+MANIFEST_META = (
+    "verdict", "rank", "required_rank", "nullity", "evidence", "restricted_dims", "mode", "side",
+    "channel_class", "cptp", "role", "repr", "trial",
+)
 
 
 def _gen_requests() -> list[tuple[str, list[str]]]:
@@ -132,12 +149,8 @@ def _state_commands(corpus: Corpus, name: str, truths: dict[int, list]) -> None:
                        "--out", str(corpus.path(f"{name}.rec.{side}.{truth_name}.explicit.json")))
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: doc_corpus.py OUTDIR", file=sys.stderr)
-        return 2
-    root = Path(args[0]).resolve()
+def write_corpus(root: Path) -> dict[str, int]:
+    """Run every command of the corpus into ``root``, record the exit codes there and return them."""
     root.mkdir(parents=True, exist_ok=True)
     corpus = Corpus(root)
     truths = {d: _truth_channels(corpus, d) for d in range(1, 5)}
@@ -150,9 +163,62 @@ def main(argv=None) -> int:
     for name, request in _gen_requests():
         if corpus.run("gen", *request, "--out", str(corpus.path(f"{name}.json"))) == cli.EXIT_OK:
             _state_commands(corpus, name, truths)
-    corpus.path("exit_codes.json").write_text(json.dumps(corpus.exit_codes, indent=1, sort_keys=True) + "\n")
-    documents_written = sum(1 for p in root.iterdir() if p.name != "exit_codes.json")
-    print(f"{documents_written} documents and {len(corpus.exit_codes)} exit codes in {root}")
+    corpus.path(EXIT_CODES).write_text(json.dumps(corpus.exit_codes, indent=1, sort_keys=True) + "\n")
+    return corpus.exit_codes
+
+
+def manifest(root: Path) -> dict:
+    """The float-free record of a corpus tree: exit codes, and each document's kind, dims, data shape and discrete meta."""
+    docs = {}
+    for path in sorted(root.iterdir()):
+        if path.name == EXIT_CODES:
+            continue
+        doc = json.loads(path.read_text())
+        entry = {"kind": doc["kind"], "dims": doc["dims"], "shape": list(np.shape(doc["data"])[:-1])}
+        entry.update((key, doc["meta"][key]) for key in MANIFEST_META if key in doc["meta"])
+        docs[path.name] = entry
+    return {"documents": docs, "exit_codes": json.loads((root / EXIT_CODES).read_text())}
+
+
+def dump_manifest(m: dict) -> str:
+    """The manifest as JSON with one line per document and per command, so a diff shows each change on its own."""
+    sections = [
+        f"{json.dumps(section)}: {{\n" + ",\n".join(
+            f"{json.dumps(name)}: {json.dumps(m[section][name], sort_keys=True)}" for name in sorted(m[section])
+        ) + "\n}"
+        for section in ("documents", "exit_codes")
+    ]
+    return "{\n" + ",\n".join(sections) + "\n}\n"
+
+
+def manifest_changes(old: dict, new: dict) -> list[str]:
+    """One line per command exit code and per document field that differs between two manifests."""
+    lines = []
+    for name in sorted(old["exit_codes"].keys() | new["exit_codes"].keys()):
+        a, b = old["exit_codes"].get(name, MISSING), new["exit_codes"].get(name, MISSING)
+        if a != b:
+            lines.append(f"command {name!r}: exit code {a} -> {b}")
+    for name in sorted(old["documents"].keys() | new["documents"].keys()):
+        a, b = old["documents"].get(name, {}), new["documents"].get(name, {})
+        lines += [
+            f"document {name}: {key} {a.get(key, MISSING)} -> {b.get(key, MISSING)}"
+            for key in sorted(a.keys() | b.keys())
+            if a.get(key) != b.get(key)
+        ]
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Write the fixed corpus of CLI documents and exit codes.")
+    parser.add_argument("outdir", type=Path)
+    parser.add_argument("--manifest", type=Path, help="also write the corpus's manifest to this file")
+    args = parser.parse_args(argv)
+    root = args.outdir.resolve()
+    exit_codes = write_corpus(root)
+    if args.manifest is not None:
+        args.manifest.write_text(dump_manifest(manifest(root)))
+    written = sum(1 for p in root.iterdir() if p.name != EXIT_CODES)
+    print(f"{written} documents and {len(exit_codes)} exit codes in {root}")
     return 0
 
 
