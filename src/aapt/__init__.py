@@ -7,6 +7,8 @@ that fail, and recover unknown channels from probes that pass.  Everything
 is exact finite-dimensional linear algebra over dense complex matrices.
 """
 
+from types import ModuleType as _ModuleType
+
 from .channels import (
     Channel,
     ChannelClassReport,
@@ -85,70 +87,7 @@ from .witness import (
     mix_with_identity,
 )
 
-__all__ = [
-    "BipartiteState",
-    "Channel",
-    "ChannelClassReport",
-    "CommutantBasis",
-    "FaithfulnessCertificate",
-    "HermitianPreservingMap",
-    "NotFaithfulProbeError",
-    "ProjectiveMeasurement",
-    "RankEvidence",
-    "ReconstructionReport",
-    "SensitivityCertificate",
-    "TransferMatrix",
-    "WitnessPair",
-    "apply_on_A",
-    "apply_on_B",
-    "certify_faithful",
-    "certify_faithful_to_unitaries",
-    "certify_sensitive",
-    "choi_to_kraus",
-    "choi_to_transfer",
-    "classify",
-    "commutant_basis",
-    "commuting_unitary",
-    "conjugation_decomposition",
-    "convert",
-    "cq_state",
-    "decompose_channel_difference",
-    "default_rank_tol",
-    "extract_pcq",
-    "faithfulness_witness",
-    "haar_unitary",
-    "hermitian_basis",
-    "hermitian_restricted_rank",
-    "hs_inner",
-    "kraus_to_choi",
-    "kraus_to_transfer",
-    "map_to_state",
-    "max_entangled",
-    "mix_with_identity",
-    "noise_stress",
-    "nonscalar_commutant_element",
-    "partial_trace",
-    "partial_transpose",
-    "pcq_residual",
-    "product_state",
-    "pseudo_inverse",
-    "random_cptp",
-    "random_cq_state",
-    "random_density",
-    "random_state",
-    "random_unitary_mixture",
-    "rank_and_nullspace",
-    "rank_evidence",
-    "reconstruct_channel",
-    "restrict_support",
-    "schur_channel",
-    "state_to_map",
-    "swap_sides",
-    "tensor",
-    "transfer_to_choi",
-    "unitary_faithful_state",
-    "unvec",
-    "vec",
-]
+# the import block above is the one list of public names: each name it binds, modules aside
+__all__ = sorted(name for name, obj in globals().items() if not (name.startswith("_") or isinstance(obj, _ModuleType)))
 
 __version__ = "0.1.0"

@@ -28,8 +28,8 @@ from . import documents
 from .duality import certify_faithful
 from .linalg import AMBIGUOUS_GAP_RATIO, random_density
 from .reconstruct import NotFaithfulProbeError, noise_stress, reconstruct_channel
-from .sensitivity import certify_sensitive
-from .states import cq_state, max_entangled, product_state, random_state, unitary_faithful_state
+from .sensitivity import CHANNEL_CLASSES, certify_sensitive
+from .states import SIDES, cq_state, max_entangled, product_state, random_state, unitary_faithful_state
 from .witness import HermitianPreservingMap, decompose_channel_difference, faithfulness_witness
 
 EXIT_OK = 0
@@ -70,16 +70,16 @@ def build_parser() -> argparse.ArgumentParser:
     cert = sub.add_parser("certify", help="emit a faithfulness or sensitivity certificate")
     cert.add_argument("state", type=Path)
     cert.add_argument("--mode", choices=("faithful", "sensitive"), required=True)
-    cert.add_argument("--side", choices=("A", "B"), default="A")
+    cert.add_argument("--side", choices=SIDES, default="A")
     cert.add_argument(
-        "--class", dest="channel_class", choices=("unitary", "unital"), help="sensitive mode only; default unital"
+        "--class", dest="channel_class", choices=CHANNEL_CLASSES, help="sensitive mode only; default unital"
     )
     cert.add_argument("--tol", type=float, default=0.0)
     cert.add_argument("--out", type=Path)
 
     wit = sub.add_parser("witness", help="emit an indistinguishable channel pair for a non-faithful state")
     wit.add_argument("state", type=Path)
-    wit.add_argument("--side", choices=("A", "B"), default="A")
+    wit.add_argument("--side", choices=SIDES, default="A")
     wit.add_argument("--tol", type=float, default=0.0)
     wit.add_argument("--out", type=Path, nargs=2, metavar=("K0", "K1"), required=True)
 
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--noise", type=float, help="--channel mode only; default 0")
     rec.add_argument("--trials", type=int, help="--channel mode only; default 1")
     rec.add_argument("--seed", type=int, help="--channel mode only; default 0")
-    rec.add_argument("--side", choices=("A", "B"), default="A")
+    rec.add_argument("--side", choices=SIDES, default="A")
     rec.add_argument("--tol", type=float, default=0.0)
     rec.add_argument("--out", type=Path)
 

@@ -105,10 +105,22 @@ def dumps(doc: MatrixDocument) -> str:
 
 
 def _decode_data(node) -> np.ndarray:
+    """The complex array that the JSON ``data`` node holds as nested ``[re, im]`` pairs.
+
+    The leaves must be JSON numbers: a string (``"1"``), a boolean or a
+    ``null`` is refused, rather than parsed or cast to a number.  The check
+    reads the dtype that numpy infers for the whole node, so a boolean that
+    sits among numbers (``[1, true]``) is folded into an integer and
+    passes (a walk over every leaf would catch it, at about three times
+    the cost of the decode), and an integer outside the int64 range, which
+    numpy holds as an object, is refused with the non-numbers.
+    """
     try:
-        arr = np.asarray(node, dtype=float)
+        arr = np.asarray(node)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed data array: {exc}") from None
+    if arr.dtype.kind not in "iuf":
+        raise ValueError("data entries must be JSON numbers")
     if arr.ndim < 2 or arr.shape[-1] != 2:
         raise ValueError("data entries must be [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -147,11 +159,17 @@ def state_document(state: BipartiteState, meta: dict[str, str] | None = None) ->
     return MatrixDocument("state", state.dims, state.matrix, dict(meta or {}))
 
 
-def document_to_state(doc: MatrixDocument) -> BipartiteState:
-    if doc.kind != "state":
-        raise ValueError(f"expected a state document, got kind {doc.kind!r}")
+def _check_kind_and_dims(doc: MatrixDocument, kind: str) -> None:
+    """Refuse ``doc`` unless it is a ``kind`` document with exactly two dims."""
+    if doc.kind != kind:
+        raise ValueError(f"expected a {kind} document, got kind {doc.kind!r}")
     if len(doc.dims) != 2:
-        raise ValueError("state documents carry exactly two dimensions")
+        two = "two dimensions" if kind == "state" else "the input and output dimensions"
+        raise ValueError(f"{kind} documents carry exactly {two}")
+
+
+def document_to_state(doc: MatrixDocument) -> BipartiteState:
+    _check_kind_and_dims(doc, "state")
     return BipartiteState(doc.data, doc.dims[0], doc.dims[1])
 
 
@@ -167,10 +185,7 @@ def document_to_channel(doc: MatrixDocument) -> Channel:
     load and rejected when the Choi matrix fails the CP or TP residuals
     at 1e-8.
     """
-    if doc.kind != "channel":
-        raise ValueError(f"expected a channel document, got kind {doc.kind!r}")
-    if len(doc.dims) != 2:
-        raise ValueError("channel documents carry exactly the input and output dimensions")
+    _check_kind_and_dims(doc, "channel")
     channel = Channel.from_choi(doc.data, doc.dims[0], doc.dims[1])
     if doc.meta.get("cptp") == "true":
         report = classify(channel, CPTP_TOL)
@@ -187,10 +202,7 @@ def transfer_document(t: TransferMatrix) -> MatrixDocument:
 
 
 def document_to_transfer(doc: MatrixDocument) -> TransferMatrix:
-    if doc.kind != "transfer":
-        raise ValueError(f"expected a transfer document, got kind {doc.kind!r}")
-    if len(doc.dims) != 2:
-        raise ValueError("transfer documents carry exactly the input and output dimensions")
+    _check_kind_and_dims(doc, "transfer")
     return TransferMatrix(doc.dims[0], doc.dims[1], doc.data)
 
 

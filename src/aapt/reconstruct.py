@@ -71,11 +71,14 @@ def reconstruct_channel(
 ) -> ReconstructionReport:
     """Recover the channel that turned ``probe`` into ``output`` on one side.
 
-    The probe must be faithful on that side without support restriction
-    (rank deficiency leaves the linear system underdetermined, and the call
-    refuses rather than silently regularizing).  When ``output`` really is
-    the image of the probe under a channel, the recovery is exact up to
-    floating point.
+    The probe must be faithful on all of that side, without support
+    restriction: rank deficiency leaves the linear system underdetermined,
+    and the call raises :class:`NotFaithfulProbeError` rather than silently
+    regularizing.  The refusal says "not faithful on all of" the side,
+    because ``certify_faithful`` may still call the probe faithful once its
+    support is restricted; recovery on that support alone is not done.
+    When ``output`` really is the image of the probe under a channel, the
+    recovery is exact up to floating point.
     """
     probe_w = orient(probe, side)
     if probe.dims != output.dims:
@@ -91,7 +94,8 @@ def _invert_probe(probe_w: BipartiteState, side: str, tol: float) -> tuple[np.nd
     required = probe_w.dim_a**2
     if ev.rank < required:
         raise NotFaithfulProbeError(
-            f"probe is not faithful on {side} (map rank {ev.rank} < {required}); reconstruction refused"
+            f"probe is not faithful on all of {side} (map rank {ev.rank} < {required}); "
+            "reconstruction needs full rank without support restriction"
         )
     return inverse, float(s[0] / s[required - 1])
 

@@ -38,25 +38,24 @@ NEW = {
 }
 
 
-def test_string_fields_list_their_transitions_with_counts(tmp_path):
+def test_each_changed_field_gives_its_count_shape_changes_and_largest_change(tmp_path):
     old = _tree(tmp_path / "old", OLD, {"a": 0})
     new = _tree(tmp_path / "new", NEW, {"a": 0})
     lines = corpus_diff.compare(old, new)
     assert lines[0] == "5 documents in both trees, 4 differ in bytes; 0 only in OLD, 0 only in NEW"
-    rows = {tuple(line.split("\t")[:2]): line.split("\t")[2:] for line in lines[2:-1]}
-    assert rows[("r_#x#.sensitive.A.json", "meta.evidence")] == ["2/3", "0", "-", "singular_gap→substack_bound 2"]
+    assert lines[1] == "class\tfield\tchanged/total\tshape changes\tmax |change|"
+    rows = {tuple(line.split("\t")[:2]): line.split("\t")[2:] for line in lines[2:]}
+    assert rows[("r_#x#.sensitive.A.json", "meta.evidence")] == ["2/3", "0", "-"]
     assert rows[("r_#x#.sensitive.A.json", "meta.gap_ratio")] == ["2/3", "0", "inf"]
     assert rows[("r_#x#.sensitive.A.json", "data")] == ["2/3", "0", "0.25"]
-    assert rows[("p_#x#.sensitive.A.json", "meta.verdict")] == ["1/1", "0", "-", "false→true 1"]
-    assert rows[("p_#x#.faithful.A.json", "meta.side")] == ["1/1", "1", "-", "A→(none) 1"]
+    assert rows[("p_#x#.sensitive.A.json", "meta.verdict")] == ["1/1", "0", "-"]
+    assert rows[("p_#x#.faithful.A.json", "meta.side")] == ["1/1", "1", "-"]
     assert ("r_#x#.sensitive.A.json", "meta.verdict") not in rows
-    assert lines[-1] == "exit_codes.json: byte-identical"
 
 
-def test_differing_exit_codes_are_reported(tmp_path):
+def test_exit_codes_are_left_to_the_manifest(tmp_path):
     old = _tree(tmp_path / "old", {}, {"a": 0})
     new = _tree(tmp_path / "new", {}, {"a": 3})
     assert corpus_diff.compare(old, new) == [
         "0 documents in both trees, 0 differ in bytes; 0 only in OLD, 0 only in NEW",
-        "exit_codes.json: DIFFERS",
     ]

@@ -11,10 +11,10 @@ change of array shape (for ``data``: a different number of projectors, say),
 and the largest absolute change among the rest (a ``meta`` key present in
 one tree only counts as a shape change).  Numbers in ``meta`` are
 compared as floats, so ``inf`` against a finite value reads as an infinite
-change.  Other ``meta`` values end the line with each old→new transition
-and its count, such as ``singular_gap→slice_bound 12`` (``(none)`` for a
-missing key), so a changed ``verdict`` cannot hide among the numbers.  The
-last line says whether ``exit_codes.json`` is byte-identical.
+change.  Which documents moved a ``verdict`` or another discrete field, and
+which commands changed exit code, is not listed here: the manifest that
+``tools/doc_corpus.py --manifest`` writes records those, and its diff names
+each one.  ``exit_codes.json`` is not read.
 Nothing here imports ``aapt``; the exit status is 0 whether or not the trees
 differ.
 """
@@ -25,13 +25,12 @@ import json
 import math
 import re
 import sys
-from collections import Counter, defaultdict
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 
 EXIT_CODES = "exit_codes.json"
-MISSING = "(none)"
 
 
 def document_class(name: str) -> str:
@@ -50,30 +49,26 @@ def _data(node) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def field_changes(old: dict, new: dict) -> dict[str, tuple[bool, float, str | None]]:
-    """Changed fields of one document: name -> (shape changed, largest absolute change or nan, transition).
-
-    The transition is ``"old→new"`` for a ``meta`` value that is not a
-    number on both sides, and None otherwise.
-    """
-    out: dict[str, tuple[bool, float, str | None]] = {}
+def field_changes(old: dict, new: dict) -> dict[str, tuple[bool, float]]:
+    """Changed fields of one document: name -> (shape changed, largest absolute change or nan)."""
+    out: dict[str, tuple[bool, float]] = {}
     for key in ("kind", "dims"):
         if old[key] != new[key]:
-            out[key] = (False, math.nan, None)
+            out[key] = (False, math.nan)
     a, b = _data(old["data"]), _data(new["data"])
     if a.shape != b.shape:
-        out["data"] = (True, math.nan, None)
+        out["data"] = (True, math.nan)
     elif not np.array_equal(a, b):
-        out["data"] = (False, float(np.max(np.abs(a - b))), None)
+        out["data"] = (False, float(np.max(np.abs(a - b))))
     for key in sorted(set(old["meta"]) | set(new["meta"])):
         x, y = old["meta"].get(key), new["meta"].get(key)
         if x == y:
             continue
         fx, fy = _number(x or ""), _number(y or "")
         if fx is None or fy is None:
-            out[f"meta.{key}"] = (x is None or y is None, math.nan, f"{x or MISSING}→{y or MISSING}")
+            out[f"meta.{key}"] = (x is None or y is None, math.nan)
         else:
-            out[f"meta.{key}"] = (False, math.inf if math.isinf(fx) != math.isinf(fy) else abs(fx - fy), None)
+            out[f"meta.{key}"] = (False, math.inf if math.isinf(fx) != math.isinf(fy) else abs(fx - fy))
     return out
 
 
@@ -85,7 +80,7 @@ def compare(old_root: Path, new_root: Path) -> list[str]:
     old_names = {p.name for p in old_root.iterdir() if p.name != EXIT_CODES}
     new_names = {p.name for p in new_root.iterdir() if p.name != EXIT_CODES}
     totals: dict[str, int] = defaultdict(int)
-    # (class, field) -> [documents changed, shape changes, largest change, transition counts]
+    # (class, field) -> [documents changed, shape changes, largest change]
     changes: dict[tuple[str, str], list] = {}
     changed_docs = 0
     for name in sorted(old_names & new_names):
@@ -95,14 +90,12 @@ def compare(old_root: Path, new_root: Path) -> list[str]:
         if old_bytes == new_bytes:
             continue
         changed_docs += 1
-        for field, (reshaped, delta, transition) in field_changes(json.loads(old_bytes), json.loads(new_bytes)).items():
-            entry = changes.setdefault((cls, field), [0, 0, math.nan, Counter()])
+        for field, (reshaped, delta) in field_changes(json.loads(old_bytes), json.loads(new_bytes)).items():
+            entry = changes.setdefault((cls, field), [0, 0, math.nan])
             entry[0] += 1
             entry[1] += reshaped
             if not math.isnan(delta):
                 entry[2] = delta if math.isnan(entry[2]) else max(entry[2], delta)
-            if transition is not None:
-                entry[3][transition] += 1
     lines = [
         f"{len(old_names & new_names)} documents in both trees, {changed_docs} differ in bytes; "
         f"{len(old_names - new_names)} only in OLD, {len(new_names - old_names)} only in NEW"
@@ -110,12 +103,9 @@ def compare(old_root: Path, new_root: Path) -> list[str]:
     lines += [f"  only in OLD: {n}" for n in sorted(old_names - new_names)]
     lines += [f"  only in NEW: {n}" for n in sorted(new_names - old_names)]
     if changes:
-        lines.append("class\tfield\tchanged/total\tshape changes\tmax |change|\ttransitions")
-    for (cls, field), (count, reshaped, delta, transitions) in sorted(changes.items()):
-        moves = ", ".join(f"{t} {n}" for t, n in sorted(transitions.items()))
-        lines.append(f"{cls}\t{field}\t{count}/{totals[cls]}\t{reshaped}\t{_fmt(delta)}\t{moves}".rstrip("\t"))
-    same = (old_root / EXIT_CODES).read_bytes() == (new_root / EXIT_CODES).read_bytes()
-    lines.append(f"{EXIT_CODES}: {'byte-identical' if same else 'DIFFERS'}")
+        lines.append("class\tfield\tchanged/total\tshape changes\tmax |change|")
+    for (cls, field), (count, reshaped, delta) in sorted(changes.items()):
+        lines.append(f"{cls}\t{field}\t{count}/{totals[cls]}\t{reshaped}\t{_fmt(delta)}")
     return lines
 
 
