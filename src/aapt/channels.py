@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, as_operator, checked_matrix, haar_unitary, partial_trace, read_only, vec
+from .linalg import _rng, as_operator, check_tol, checked_matrix, haar_unitary, partial_trace, read_only, vec
 from .states import BipartiteState, swap_sides
 
 _KINDS = ("kraus", "choi", "transfer")
@@ -234,7 +234,13 @@ class ChannelClassReport:
 
 
 def classify(channel: Channel, tol: float = 1e-10) -> ChannelClassReport:
-    """Report how close a map is to being CP, trace preserving, and unital."""
+    """Report how close a map is to being CP, trace preserving, and unital.
+
+    ``tol`` follows the package's one tolerance rule: a negative or
+    non-finite value is refused, since NaN or a negative bound fails every
+    map and an infinite one passes every map.
+    """
+    check_tol(tol)
     c = channel.choi()
     c = (c + c.conj().T) / 2
     min_eig = float(np.linalg.eigvalsh(c)[0])

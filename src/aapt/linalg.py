@@ -119,6 +119,18 @@ def read_only(m: np.ndarray) -> np.ndarray:
     return frozen
 
 
+def _assembled(cls, **fields):
+    """An instance of the frozen type ``cls`` from fields that already satisfy its rules, so no check runs.
+
+    For values the package builds to the type's rules, such as a permutation
+    of a checked matrix or the spectral projectors of one eigenbasis.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 def _split(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     da, db = int(dims[0]), int(dims[1])
     if da < 1 or db < 1:

@@ -73,7 +73,12 @@ the eigenbasis V of that element h: one ``eigh(h)`` is split into clusters,
 each projector is the product of one cluster's block of V with its adjoint,
 and in X = (V (x) 1)^dag rho (V (x) 1) pinching keeps the blocks X_ac with a
 and c in one cluster, so the self-check reads the norm of the other blocks.
-No array beyond m d_A^2 + n^2 entries is formed for m projectors.
+No array beyond m d_A^2 + n^2 entries is formed for m projectors.  The
+blocks are disjoint column sets of one unitary V, so the projectors are
+Hermitian, idempotent, complete and mutually orthogonal to rounding; the
+measurement is assembled like a derived state, by ``linalg._assembled``,
+without the constructor's check of a caller's projectors, and the state
+residual is its one self-check.
 :func:`pcq_residual` stays the public check for any measurement.
 """
 
@@ -89,6 +94,7 @@ from .channels import act_on_first, kraus_to_transfer
 from .linalg import (
     AMBIGUOUS_GAP_RATIO,
     RankEvidence,
+    _assembled,
     _svd_nullspace,
     as_operator,
     check_tol,
@@ -136,12 +142,13 @@ class CommutantBasis:
 class ProjectiveMeasurement:
     """A complete family of mutually orthogonal Hermitian projectors.
 
-    Each projector is checked for Hermiticity and idempotence, their sum for
-    the identity, and each P_i against the later P_j, one block row at a
-    time, for orthogonality; every check holds to 1e-10.  A certificate's
-    measurement is built in the eigenbasis of one Hermitian commutant
-    element and checked against its state there; :func:`pcq_residual` is
-    the check of any measurement against any state.
+    A caller's projectors are checked in order, each for its dimension,
+    finite entries, Hermiticity and idempotence; then their sum for the
+    identity, and each P_i against every later P_j for orthogonality.  Every
+    check holds to 1e-10.  A certificate's measurement is not checked here:
+    its projectors are the cluster blocks of one eigenbasis, so these rules
+    hold to rounding, and it is checked against its state in that basis.
+    :func:`pcq_residual` is the check of any measurement against any state.
     """
 
     projectors: tuple[np.ndarray, ...]
@@ -151,27 +158,19 @@ class ProjectiveMeasurement:
         if not ops:
             raise ValueError("a measurement needs at least one projector")
         d = ops[0].shape[0]
-        # projectors are checked in order, each for dimension, Hermiticity and idempotence, and the
-        # first failure raises; the stack holds those before the first one of another dimension
-        same = next((i for i, p in enumerate(ops) if p.shape != (d, d)), len(ops))
-        stack = np.stack(ops[:same]) if same else np.zeros((0, d, d), dtype=complex)
-        # every tolerance comparison with NaN is False, so non-finite entries are refused first
-        if not np.isfinite(stack).all():
-            raise ValueError("projectors have non-finite entries (NaN or inf)")
-        skew = np.linalg.norm(stack - stack.conj().transpose(0, 2, 1), axis=(1, 2)) > PROJECTOR_TOL
-        off = np.linalg.norm(stack @ stack - stack, axis=(1, 2)) > PROJECTOR_TOL
-        bad = np.flatnonzero(skew | off)
-        if bad.size:  # the first failing projector, Hermiticity checked before idempotence
-            raise ValueError(f"projectors must be {'Hermitian' if skew[bad[0]] else 'idempotent'}")
-        if same < len(ops):
-            raise ValueError("all projectors must share one dimension")
-        if np.linalg.norm(stack.sum(axis=0) - np.eye(d)) > PROJECTOR_TOL:
+        for p in ops:
+            if p.shape != (d, d):
+                raise ValueError("all projectors must share one dimension")
+            if not np.isfinite(p).all():  # every tolerance comparison with NaN is False
+                raise ValueError("projectors have non-finite entries (NaN or inf)")
+            if np.linalg.norm(p - p.conj().T) > PROJECTOR_TOL:
+                raise ValueError("projectors must be Hermitian")
+            if np.linalg.norm(p @ p - p) > PROJECTOR_TOL:
+                raise ValueError("projectors must be idempotent")
+        if np.linalg.norm(sum(ops) - np.eye(d)) > PROJECTOR_TOL:
             raise ValueError("projectors must resolve the identity")
-        # P_i against every later P_j, one block row at a time, so no m^2 d^2 block is formed
-        for i in range(len(ops) - 1):
-            row = (stack[i] @ stack[i + 1 :]).reshape(len(ops) - 1 - i, -1).view(float)  # P_i P_j as real pairs
-            if (np.sqrt((row * row).sum(axis=1)) > PROJECTOR_TOL).any():
-                raise ValueError("projectors must be mutually orthogonal")
+        if any(np.linalg.norm(p @ q) > PROJECTOR_TOL for i, p in enumerate(ops) for q in ops[i + 1 :]):
+            raise ValueError("projectors must be mutually orthogonal")
         object.__setattr__(self, "projectors", tuple(read_only(p) for p in ops))
 
     def __len__(self) -> int:
@@ -373,6 +372,9 @@ def pcq_residual(state: BipartiteState, measurement: ProjectiveMeasurement, side
     the state at all.
     """
     work = orient(state, side)
+    d = measurement.projectors[0].shape[0]
+    if d != work.dim_a:
+        raise ValueError(f"measurement acts on dimension {d}, but side {side} has dimension {work.dim_a}")
     pinched = act_on_first(kraus_to_transfer(measurement.projectors), work.matrix, work.dims)
     return float(np.linalg.norm(pinched - work.matrix))
 
@@ -408,7 +410,7 @@ def certify_sensitive(
     if basis.nullity > 1:
         v, ranges = _eigensplit(_nonscalar_hermitian(basis.elements, basis.elements[0].shape[0]))
         blocks = [v[:, r.start : r.stop] for r in ranges]
-        measurement = ProjectiveMeasurement(tuple(block @ block.conj().T for block in blocks))
+        measurement = _assembled(ProjectiveMeasurement, projectors=tuple(read_only(b @ b.conj().T) for b in blocks))
         if len(measurement) < 2:
             raise ArithmeticError("extracted measurement is trivial despite a nontrivial commutant")
         residual = _split_residual(work, v, ranges)

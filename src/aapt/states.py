@@ -8,8 +8,10 @@ blocks of :func:`cq_state` share.  Every instance in circulation is
 therefore a physical state, and code inside the package reads its
 ``matrix`` as a bare array without checking it again.  A state the package
 derives from a checked one, by a side swap or a support restriction, is
-assembled by ``_derived_state`` without a second check.  The relative
-Hermiticity rule is written here once; :mod:`aapt.duality` reads it too.
+assembled by ``_derived_state`` without a second check, through the one
+helper ``linalg._assembled`` that also builds the PC-Q measurement of a
+sensitivity certificate.  The relative Hermiticity rule is written here
+once; :mod:`aapt.duality` reads it too.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, as_operator, checked_matrix, partial_trace, random_density, read_only, tensor
+from .linalg import _assembled, _rng, as_operator, checked_matrix, partial_trace, random_density, read_only, tensor
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -83,10 +85,7 @@ def _derived_state(m: np.ndarray, dim_a: int, dim_b: int) -> BipartiteState:
     For matrices that are density matrices by construction, such as an index
     permutation or a renormalized compression of a valid state.
     """
-    state = object.__new__(BipartiteState)
-    for name, value in (("matrix", read_only(m)), ("dim_a", dim_a), ("dim_b", dim_b)):
-        object.__setattr__(state, name, value)
-    return state
+    return _assembled(BipartiteState, matrix=read_only(m), dim_a=dim_a, dim_b=dim_b)
 
 
 def swap_sides(state: BipartiteState) -> BipartiteState:

@@ -41,7 +41,7 @@ import numpy as np
 
 from .channels import Channel, _eigen_terms, act_on_first, choi_to_transfer
 from .duality import TransferMatrix, _decide_faithful
-from .linalg import _svd_nullspace, partial_trace, vec, weight_in_span
+from .linalg import AMBIGUOUS_GAP_RATIO, _svd_nullspace, partial_trace, vec, weight_in_span
 from .states import BipartiteState
 
 TRACE_ANNIHILATION_TOL = 1e-10
@@ -171,9 +171,14 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     which keeps the channel gap macroscopic.  Both gaps are checked on the
     bare Choi matrices before each is wrapped, once, in its ``Channel``.
     The state is support-restricted first, matching the certificate; the
-    returned channels act on the restricted side.
+    returned channels act on the restricted side.  A cut whose gap ratio is
+    below 10, which ``aapt certify`` calls undecided, is refused with
+    ArithmeticError rather than given a pair.
     """
     cert, work, matrix = _decide_faithful(state, side, tol)
+    ratio = cert.evidence.gap_ratio  # inf for a faithful cut, which drops no singular value
+    if ratio < AMBIGUOUS_GAP_RATIO:
+        raise ArithmeticError(f"ambiguous rank decision: gap ratio {ratio:.3g} < {AMBIGUOUS_GAP_RATIO:g}")
     if cert.faithful:
         return None
     da = work.dim_a
