@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, as_operator, check_tol, checked_matrix, haar_unitary, partial_trace, read_only, vec
+from .linalg import _rng, as_operator, check_tol, checked_dims, checked_matrix, haar_unitary, partial_trace, read_only, vec
 from .states import BipartiteState, swap_sides
 
 _KINDS = ("kraus", "choi", "transfer")
@@ -127,7 +127,11 @@ def choi_to_kraus(c, dim_in: int, dim_out: int) -> tuple[np.ndarray, ...]:
 
 
 class Channel:
-    """A completely positive map, stored as one read-only Choi matrix.
+    """A linear map between operator spaces, stored as one read-only Choi matrix.
+
+    Any linear map in Choi form is held; nothing here checks complete
+    positivity or trace preservation.  :func:`classify` reports both, and a
+    document flagged ``cptp=true`` is refused on load unless it passes them.
 
     The constructor computes the Choi matrix once, by :func:`kraus_to_choi`
     or by the exact transfer-to-Choi permutation, and keeps the Kraus
@@ -142,8 +146,7 @@ class Channel:
     def __init__(self, kind: str, data, dim_in: int, dim_out: int):
         if kind not in _KINDS:
             raise ValueError(f"representation must be one of {_KINDS}, got {kind!r}")
-        if dim_in < 1 or dim_out < 1:
-            raise ValueError("channel dimensions must be positive")
+        dim_in, dim_out = checked_dims((dim_in, dim_out), "dim_in and dim_out")
         if kind == "kraus":
             ops = tuple(as_operator(k) for k in data)
             if not ops:
@@ -287,8 +290,7 @@ def random_cptp(d: int, env: int, seed) -> Channel:
     count equals the environment dimension and ``env=1`` gives a unitary
     channel.
     """
-    if env < 1:
-        raise ValueError("environment dimension must be at least 1")
+    d, env = checked_dims((d, env), "d and env")
     u = haar_unitary(d * env, seed)
     v = u[:, :d]
     ops = [v[e * d : (e + 1) * d, :] for e in range(env)]
@@ -297,8 +299,7 @@ def random_cptp(d: int, env: int, seed) -> Channel:
 
 def random_unitary_mixture(d: int, k: int, seed) -> Channel:
     """Random unitary operation: a Dirichlet-weighted mixture of Haar unitaries."""
-    if k < 1:
-        raise ValueError("mixture size must be at least 1")
+    d, k = checked_dims((d, k), "d and k")
     g = _rng(seed)
     p = g.dirichlet(np.ones(k))
     ops = [math.sqrt(p[i]) * haar_unitary(d, g) for i in range(k)]

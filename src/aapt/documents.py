@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import Channel, classify
 from .duality import FaithfulnessCertificate, TransferMatrix
-from .linalg import RankEvidence, read_only
+from .linalg import RankEvidence, checked_dims, read_only
 from .reconstruct import ReconstructionReport
 from .sensitivity import SensitivityCertificate
 from .states import BipartiteState
@@ -46,9 +46,7 @@ class MatrixDocument:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"document kind must be one of {KINDS}, got {self.kind!r}")
-        dims = tuple(int(d) for d in self.dims)
-        if any(d < 1 for d in dims):
-            raise ValueError(f"dims must be positive integers, got {self.dims}")
+        dims = checked_dims(self.dims, "dims")
         data = np.asarray(self.data, dtype=complex)
         if data.ndim < 1 or data.size == 0:
             raise ValueError("data must be a nonempty array")

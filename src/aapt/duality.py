@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _act_on_operator, choi_to_transfer, transfer_to_choi
-from .linalg import RankEvidence, checked_matrix, hermitian_basis, rank_evidence, read_only, tensor, vec
+from .linalg import RankEvidence, checked_dims, checked_matrix, hermitian_basis, rank_evidence, read_only, tensor, vec
 from .states import BipartiteState, _derived_state, _is_hermitian, orient
 
 DIRECTIONS = ("a_to_b", "b_to_a")
@@ -40,8 +40,7 @@ class TransferMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.dim_in < 1 or self.dim_out < 1:
-            raise ValueError("dimensions must be positive")
+        checked_dims((self.dim_in, self.dim_out), "dim_in and dim_out")
         shape = (self.dim_out * self.dim_out, self.dim_in * self.dim_in)
         object.__setattr__(self, "matrix", read_only(checked_matrix(self.matrix, shape, "transfer matrix")))
 
@@ -78,7 +77,7 @@ def map_to_state(t: TransferMatrix, dims: tuple[int, int], direction: str = "a_t
     Raises ValueError when the resulting matrix is not a valid density
     matrix, which signals that ``t`` was not induced by a state.
     """
-    da, db = int(dims[0]), int(dims[1])
+    da, db = checked_dims(dims, "dims")
     if direction == "a_to_b":
         expected, m = (da, db), t.matrix
     elif direction == "b_to_a":

@@ -5,6 +5,10 @@ this package wraps matrices in richer classes.  A matrix a caller hands in
 is checked once, by :func:`checked_matrix` in the type that takes it (shape
 and finite entries, with a message naming what was given); inside the
 package checked data is passed on as bare arrays and not checked again.
+Dimensions and counts follow one rule, decided only by
+:func:`checked_dims`: each is a Python or numpy integer, not a ``bool``,
+and at least 1; anything else is refused with a ValueError naming the
+argument.
 
 Vectorization is column stacking everywhere: ``vec(M)`` concatenates the
 columns of ``M``, which gives the identity
@@ -80,6 +84,17 @@ def checked_matrix(m, shape: tuple[int, int], label: str) -> np.ndarray:
     return a
 
 
+def checked_dims(values, label: str) -> tuple[int, ...]:
+    """The caller's dimensions or counts ``values`` as Python ints, each an integer (not a bool) of at least 1.
+
+    The one dimension rule of the package; a failure raises ValueError naming ``label``.
+    """
+    dims = [int(v) for v in values if isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1]
+    if len(dims) != len(values):
+        raise ValueError(f"{label} must be positive integers, got {values}")
+    return tuple(dims)
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with row-major composite indexing (i_a * dim_b + i_b)."""
     return np.kron(as_operator(a), as_operator(b))
@@ -132,9 +147,7 @@ def _assembled(cls, **fields):
 
 
 def _split(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    da, db = int(dims[0]), int(dims[1])
-    if da < 1 or db < 1:
-        raise ValueError(f"subsystem dimensions must be positive, got {dims}")
+    da, db = checked_dims(dims, "dims")
     n = da * db
     if m.shape != (n, n):
         raise ValueError(f"matrix of shape {m.shape} does not act on {da} x {db} = {n} dimensions")
@@ -157,15 +170,15 @@ def partial_trace(m, dims: tuple[int, int], which: str = "A") -> np.ndarray:
 
 def partial_transpose(m, dims: tuple[int, int], which: str = "A") -> np.ndarray:
     """Transpose the indices of one tensor factor; applying it twice is a no-op."""
-    m4 = _split(as_operator(m), dims)
+    m = as_operator(m)
+    m4 = _split(m, dims)
     if which == "A":
         out = m4.transpose(2, 1, 0, 3)
     elif which == "B":
         out = m4.transpose(0, 3, 2, 1)
     else:
         raise ValueError(f"subsystem selector must be 'A' or 'B', got {which!r}")
-    n = dims[0] * dims[1]
-    return out.reshape(n, n)
+    return out.reshape(m.shape)
 
 
 class RankEvidence(NamedTuple):
@@ -299,8 +312,7 @@ def haar_unitary(d: int, seed) -> np.ndarray:
     which makes the distribution invariant under left multiplication by any
     fixed unitary.  The same seed always reproduces the same matrix.
     """
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    (d,) = checked_dims((d,), "d")
     g = _rng(seed)
     z = (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / math.sqrt(2)
     q, r = np.linalg.qr(z)
@@ -318,8 +330,7 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     ``{1, sigma_x, sigma_y, sigma_z} / sqrt(2)``.  All pairs are orthonormal
     under the Hilbert-Schmidt inner product.
     """
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    (d,) = checked_dims((d,), "d")
     basis = [np.eye(d, dtype=complex) / math.sqrt(d)]
     for j in range(d):
         for k in range(j + 1, d):
@@ -342,7 +353,8 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
 
 def random_density(d: int, rank: int, seed) -> np.ndarray:
     """Random density matrix of the requested rank (normalized Wishart G G^dag)."""
-    if not 1 <= rank <= d:
+    d, rank = checked_dims((d, rank), "d and rank")
+    if rank > d:
         raise ValueError(f"rank must lie in 1..{d}, got {rank}")
     g = _rng(seed)
     gmat = (g.standard_normal((d, rank)) + 1j * g.standard_normal((d, rank))) / math.sqrt(2)

@@ -98,6 +98,7 @@ from .linalg import (
     _svd_nullspace,
     as_operator,
     check_tol,
+    checked_matrix,
     default_rank_tol,
     fixed_weight,
     read_only,
@@ -439,9 +440,13 @@ def commuting_unitary(h: np.ndarray, angle: float) -> np.ndarray:
     """exp(i * angle * h) for Hermitian h, via its eigendecomposition.
 
     When h lies in the commutant of a state, every such unitary fixes the
-    state; this is the constructive half of the sensitivity verdict.
+    state; this is the constructive half of the sensitivity verdict.  ``h``
+    must be a square matrix with finite entries and ``angle`` finite.
     """
-    h = as_operator(h)
+    d = len(np.atleast_1d(h))
+    h = checked_matrix(h, (d, d), "h")
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     w, v = np.linalg.eigh((h + h.conj().T) / 2)
     return (v * np.exp(1j * angle * w)) @ v.conj().T
 

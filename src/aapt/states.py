@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _assembled, _rng, as_operator, checked_matrix, partial_trace, random_density, read_only, tensor
+from .linalg import _assembled, _rng, as_operator, checked_dims, checked_matrix, partial_trace, random_density, read_only, tensor
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -57,8 +57,7 @@ class BipartiteState:
     dim_b: int
 
     def __post_init__(self):
-        if self.dim_a < 1 or self.dim_b < 1:
-            raise ValueError(f"subsystem dimensions must be positive, got ({self.dim_a}, {self.dim_b})")
+        checked_dims((self.dim_a, self.dim_b), "dim_a and dim_b")
         m = _check_density(self.matrix, self.dim_a * self.dim_b, "state matrix")
         object.__setattr__(self, "matrix", read_only(m))
 
@@ -102,8 +101,7 @@ def orient(state: BipartiteState, side: str) -> BipartiteState:
 
 def max_entangled(d: int) -> BipartiteState:
     """The maximally entangled state sum_ij |ii><jj| / d on d (x) d."""
-    if d < 1:
-        raise ValueError("dimension must be at least 1")
+    (d,) = checked_dims((d,), "d")
     phi = np.zeros(d * d, dtype=complex)
     phi[:: d + 1] = 1.0 / math.sqrt(d)
     return BipartiteState(np.outer(phi, phi.conj()), d, d)
@@ -118,6 +116,7 @@ def product_state(rho_a, rho_b) -> BipartiteState:
 
 def random_state(dim_a: int, dim_b: int, rank: int | None = None, seed=0) -> BipartiteState:
     """Random bipartite state of the given rank (full rank by default)."""
+    dim_a, dim_b = checked_dims((dim_a, dim_b), "dim_a and dim_b")
     n = dim_a * dim_b
     if rank is None:
         rank = n
@@ -181,6 +180,7 @@ def unitary_faithful_state(spectrum) -> BipartiteState:
 
 def random_cq_state(dim_a: int, dim_b: int, seed=0) -> BipartiteState:
     """Classical-quantum state with Dirichlet weights and random B blocks."""
+    dim_a, dim_b = checked_dims((dim_a, dim_b), "dim_a and dim_b")
     g = _rng(seed)
     p = g.dirichlet(np.ones(dim_a))
     sigmas = [random_density(dim_b, dim_b, g) for _ in range(dim_a)]

@@ -1,9 +1,9 @@
-"""Stacked kernels against the per-operator loops they replace.
+"""Kernels and checks against the per-operator reference loops.
 
-``kraus_to_choi`` sums vec(K_i) vec(K_i)^dag as one product, and
-``ProjectiveMeasurement`` checks its projectors on one stack.  The loops
-stay here as references: the Choi matrix may differ from the loop sum only
-by rounding, and the measurement raises the loop's first error.
+``kraus_to_choi`` sums vec(K_i) vec(K_i)^dag as one stacked product, and
+may differ from the loop sum only by rounding.  The ``ProjectiveMeasurement``
+constructor checks a caller's projectors one at a time, and raises the
+reference loop's first error.
 """
 
 import numpy as np
@@ -38,7 +38,7 @@ def test_the_stacked_choi_matrix_is_the_loop_sum(ops):
 
 
 def loop_check(ops):
-    """The per-projector loop the stacked checks replace; returns its first error message or None."""
+    """The per-projector reference loop; returns its first error message or None."""
     d = ops[0].shape[0]
     total = np.zeros((d, d), dtype=complex)
     for p in ops:
@@ -92,7 +92,7 @@ FAMILIES = {
 
 
 @pytest.mark.parametrize("name", FAMILIES)
-def test_the_stacked_checks_raise_the_first_error_of_the_loop(name):
+def test_the_constructor_raises_the_first_error_of_the_reference_loop(name):
     ops = [np.asarray(p, dtype=complex) for p in FAMILIES[name]]
     want = loop_check(ops)
     if want is None:

@@ -48,6 +48,7 @@ ENTRY_POINTS = {
     "Channel.apply": ("operator", np.eye(2), lambda m: Channel.identity(2).apply(m), None),
     "TransferMatrix.apply": ("operator", np.eye(2), lambda m: TransferMatrix(2, 2, np.eye(4)).apply(m), None),
     "schur_channel": ("correlation matrix", np.eye(2), aapt.schur_channel, None),
+    "commuting_unitary": ("h", np.eye(2), lambda m: aapt.commuting_unitary(m, 1.0), None),
     "ProjectiveMeasurement": (
         "projectors", E1, lambda m: ProjectiveMeasurement((E0, m)), r"^all projectors must share one dimension$"
     ),

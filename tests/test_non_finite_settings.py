@@ -1,4 +1,4 @@
-"""A NaN or infinite tolerance, noise level, probability or spectrum is refused as such, by the library and by the CLI."""
+"""A NaN or infinite tolerance, noise level, angle, probability or spectrum is refused as such, by the library and by the CLI."""
 
 import math
 
@@ -9,6 +9,7 @@ from aapt import (
     certify_faithful,
     certify_sensitive,
     commutant_basis,
+    commuting_unitary,
     cq_state,
     faithfulness_witness,
     max_entangled,
@@ -56,6 +57,12 @@ def test_library_refuses_a_non_finite_tolerance(name, tol):
 def test_noise_stress_refuses_a_non_finite_noise(noise):
     with pytest.raises(ValueError, match=NOISE_MESSAGE):
         noise_stress(PROBE, random_cptp(2, 2, seed=3), noise, trials=2, seed=4)
+
+
+@pytest.mark.parametrize("angle", NON_FINITE)
+def test_commuting_unitary_refuses_a_non_finite_angle(angle):
+    with pytest.raises(ValueError, match=r"^angle must be finite, got "):
+        commuting_unitary(np.diag([1.0, -1.0]), angle)
 
 
 @pytest.fixture
