@@ -13,8 +13,15 @@ A :class:`Channel` can be built from any of three forms,
 and stores its Choi matrix, the Jamiolkowski image that a bipartite probe
 state also is.  With column stacking the three forms are linked by
 ``C = sum_i vec(K_i) vec(K_i)^dag`` and ``T = sum_i conj(K_i) (x) K_i``;
-Choi and transfer matrices are entry permutations of each other (the
-reshuffle below), so the transfer form is read back exactly.
+Choi and transfer matrices are entry permutations of each other, so the
+transfer form is read back exactly.
+
+This module alone knows what a valid map matrix is.  A caller's Choi or
+transfer matrix enters through ``_checked_form``, which holds each form's
+shape, and a Kraus family through ``_kraus_stack``; ``_reshuffle`` is the
+one layout of the Choi <-> transfer permutation.  The public conversions
+and the constructors check their input that way, while code inside the
+package already holds checked arrays and calls ``_reshuffle`` directly.
 """
 
 from __future__ import annotations
@@ -33,49 +40,70 @@ CP_TOL = 1e-10
 KRAUS_KEEP_RTOL = 1e-12
 
 
+def _checked_form(kind: str, m, dim_in: int, dim_out: int) -> np.ndarray:
+    """A caller's ``"choi"`` or ``"transfer"`` matrix of a ``dim_in -> dim_out`` map, checked.
+
+    The dimensions go through the package's dimension rule, then the matrix
+    through its matrix rule, against the one shape of each form: a Choi
+    matrix is ``dim_in * dim_out`` square, a transfer matrix ``dim_out^2 x
+    dim_in^2``.
+    """
+    dim_in, dim_out = checked_dims((dim_in, dim_out), "dim_in and dim_out")
+    shape = (dim_in * dim_out,) * 2 if kind == "choi" else (dim_out * dim_out, dim_in * dim_in)
+    return checked_matrix(m, shape, f"{kind} matrix")
+
+
+def _kraus_stack(ops, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """A caller's Kraus family as one read-only stack.
+
+    The family must be nonempty, every operator must have ``shape`` (the
+    first operator's shape when it is not given), and every entry finite.
+    """
+    ops = [as_operator(k) for k in ops]
+    if not ops:
+        raise ValueError("need at least one Kraus operator")
+    shape = shape or ops[0].shape
+    if any(k.shape != shape for k in ops):
+        raise ValueError(f"every Kraus operator must have shape {shape}")
+    stack = np.stack(ops)
+    if not np.isfinite(stack).all():
+        raise ValueError("Kraus operators have non-finite entries (NaN or inf)")
+    stack.setflags(write=False)
+    return stack
+
+
+def _reshuffle(m: np.ndarray, dim_in: int, dim_out: int, to: str) -> np.ndarray:
+    """The Choi <-> transfer permutation of a ``dim_in -> dim_out`` map, on a matrix or on every matrix of a stack.
+
+    ``to="transfer"`` takes Choi matrices to transfer matrices, ``to="choi"``
+    the reverse.  Each matrix is read as a four-index tensor and its outer
+    two axes are exchanged; nothing is checked.
+    """
+    a, b, c, d = (dim_in, dim_out) * 2 if to == "transfer" else (dim_out, dim_out, dim_in, dim_in)
+    return m.reshape(-1, a, b, c, d).transpose(0, 4, 2, 3, 1).reshape(*m.shape[:-2], d * b, c * a)
+
+
 def kraus_to_choi(ops) -> np.ndarray:
     """Choi matrix sum_i vec(K_i) vec(K_i)^dag of a Kraus family, as one product V V^dag."""
-    vs = [vec(as_operator(k)) for k in ops]
-    if not vs:
-        raise ValueError("need at least one Kraus operator")
-    v = np.stack(vs, axis=1)
+    v = np.stack([vec(k) for k in _kraus_stack(ops)], axis=1)
     return v @ v.conj().T
 
 
 def kraus_to_transfer(ops) -> np.ndarray:
     """Transfer matrix sum_i conj(K_i) (x) K_i of a Kraus family, reshuffled from its Choi matrix."""
-    ops = [as_operator(k) for k in ops]
-    # kraus_to_choi refuses an empty family before ops[0] is read
-    return choi_to_transfer(kraus_to_choi(ops), *ops[0].shape[::-1])
-
-
-def _reshuffle(m: np.ndarray, shape: tuple[int, int, int, int]) -> np.ndarray:
-    """The Choi <-> transfer permutation, on a matrix or on every matrix of a stack.
-
-    Each matrix is read as a ``shape`` tensor and its outer two axes are
-    exchanged: ``(d_in, d_out, d_in, d_out)`` takes a Choi matrix to its
-    transfer matrix, ``(d_out, d_out, d_in, d_in)`` a transfer matrix to its
-    Choi matrix.
-    """
-    a, b, c, d = shape
-    return m.reshape(-1, a, b, c, d).transpose(0, 4, 2, 3, 1).reshape(*m.shape[:-2], d * b, c * a)
+    stack = _kraus_stack(ops)
+    _, dim_out, dim_in = stack.shape
+    return _reshuffle(kraus_to_choi(stack), dim_in, dim_out, "transfer")
 
 
 def transfer_to_choi(t, dim_in: int, dim_out: int) -> np.ndarray:
     """Reshuffle a transfer matrix into the corresponding Choi matrix."""
-    t = as_operator(t)
-    if t.shape != (dim_out * dim_out, dim_in * dim_in):
-        raise ValueError(f"transfer matrix of shape {t.shape} does not match dims {dim_in} -> {dim_out}")
-    return _reshuffle(t, (dim_out, dim_out, dim_in, dim_in))
+    return _reshuffle(_checked_form("transfer", t, dim_in, dim_out), dim_in, dim_out, "choi")
 
 
 def choi_to_transfer(c, dim_in: int, dim_out: int) -> np.ndarray:
     """Reshuffle a Choi matrix into the corresponding transfer matrix."""
-    c = as_operator(c)
-    n = dim_in * dim_out
-    if c.shape != (n, n):
-        raise ValueError(f"Choi matrix of shape {c.shape} does not match dims {dim_in} -> {dim_out}")
-    return _reshuffle(c, (dim_in, dim_out, dim_in, dim_out))
+    return _reshuffle(_checked_form("choi", c, dim_in, dim_out), dim_in, dim_out, "transfer")
 
 
 def act_on_first(t: np.ndarray, m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -86,7 +114,7 @@ def act_on_first(t: np.ndarray, m: np.ndarray, dims: tuple[int, int]) -> np.ndar
     reshuffled back, so J_out = T J_in is the one way a map acts on an
     operator; ``dims = (d, 1)`` acts on a single d x d operator.
     """
-    return transfer_to_choi((t @ choi_to_transfer(m, *dims).T).T, math.isqrt(t.shape[0]), dims[1])
+    return _reshuffle((t @ _reshuffle(m, *dims, "transfer").T).T, math.isqrt(t.shape[0]), dims[1], "choi")
 
 
 def _act_on_operator(t: np.ndarray, m, dim_in: int) -> np.ndarray:
@@ -113,10 +141,8 @@ def choi_to_kraus(c, dim_in: int, dim_out: int) -> tuple[np.ndarray, ...]:
     CP tolerance means the map is not completely positive and no Kraus form
     exists.
     """
-    c = as_operator(c)
+    c = _checked_form("choi", c, dim_in, dim_out)
     n = dim_in * dim_out
-    if c.shape != (n, n):
-        raise ValueError(f"Choi matrix of shape {c.shape} does not match dims {dim_in} -> {dim_out}")
     w, ops = _eigen_terms(c, dim_in, dim_out)
     scale = max(1.0, float(np.abs(w).max()))
     if w[-1] < -CP_TOL * scale:
@@ -148,22 +174,12 @@ class Channel:
             raise ValueError(f"representation must be one of {_KINDS}, got {kind!r}")
         dim_in, dim_out = checked_dims((dim_in, dim_out), "dim_in and dim_out")
         if kind == "kraus":
-            ops = tuple(as_operator(k) for k in data)
-            if not ops:
-                raise ValueError("need at least one Kraus operator")
-            if any(k.shape != (dim_out, dim_in) for k in ops):
-                raise ValueError(f"every Kraus operator must have shape ({dim_out}, {dim_in})")
-            stacked = np.stack(ops)
-            if not np.isfinite(stacked).all():
-                raise ValueError("Kraus operators have non-finite entries (NaN or inf)")
-            stacked.setflags(write=False)
-            self._kraus = tuple(stacked)
+            self._kraus = tuple(_kraus_stack(data, (dim_out, dim_in)))
             choi = kraus_to_choi(self._kraus)
         else:
-            shape = (dim_in * dim_out,) * 2 if kind == "choi" else (dim_out * dim_out, dim_in * dim_in)
-            m = checked_matrix(data, shape, f"{kind} matrix")
+            m = _checked_form(kind, data, dim_in, dim_out)
             self._kraus = None
-            choi = m if kind == "choi" else transfer_to_choi(m, dim_in, dim_out)
+            choi = m if kind == "choi" else _reshuffle(m, dim_in, dim_out, "choi")
         self.kind = kind
         self.dim_in = dim_in
         self.dim_out = dim_out
@@ -171,9 +187,8 @@ class Channel:
 
     @classmethod
     def from_kraus(cls, ops) -> "Channel":
-        ops = [as_operator(k) for k in ops]
-        rows, cols = ops[0].shape if ops else (1, 1)  # the constructor refuses an empty list
-        return cls("kraus", ops, cols, rows)
+        stack = _kraus_stack(ops)
+        return cls("kraus", stack, stack.shape[2], stack.shape[1])
 
     @classmethod
     def from_choi(cls, choi, dim_in: int, dim_out: int) -> "Channel":
@@ -185,6 +200,7 @@ class Channel:
 
     @classmethod
     def identity(cls, d: int) -> "Channel":
+        (d,) = checked_dims((d,), "d")
         return cls.from_kraus([np.eye(d, dtype=complex)])
 
     def kraus(self) -> tuple[np.ndarray, ...]:
@@ -195,7 +211,7 @@ class Channel:
 
     def transfer(self) -> np.ndarray:
         # reshuffling the copy keeps the result writable: for 1 -> 1 it is a view
-        return choi_to_transfer(self.choi(), self.dim_in, self.dim_out)
+        return _reshuffle(self.choi(), self.dim_in, self.dim_out, "transfer")
 
     def apply(self, m) -> np.ndarray:
         """Act on a single-system operator, through the transfer matrix."""

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _act_on_operator, choi_to_transfer, transfer_to_choi
-from .linalg import RankEvidence, checked_dims, checked_matrix, hermitian_basis, rank_evidence, read_only, tensor, vec
+from .channels import _act_on_operator, _checked_form, _reshuffle
+from .linalg import RankEvidence, checked_dims, hermitian_basis, rank_evidence, read_only, tensor, vec
 from .states import BipartiteState, _derived_state, _is_hermitian, orient
 
 DIRECTIONS = ("a_to_b", "b_to_a")
@@ -40,16 +40,15 @@ class TransferMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        checked_dims((self.dim_in, self.dim_out), "dim_in and dim_out")
-        shape = (self.dim_out * self.dim_out, self.dim_in * self.dim_in)
-        object.__setattr__(self, "matrix", read_only(checked_matrix(self.matrix, shape, "transfer matrix")))
+        m = _checked_form("transfer", self.matrix, self.dim_in, self.dim_out)
+        object.__setattr__(self, "matrix", read_only(m))
 
     def apply(self, m) -> np.ndarray:
         """Act on a single operator."""
         return _act_on_operator(self.matrix, m, self.dim_in)
 
     def choi(self) -> np.ndarray:
-        return transfer_to_choi(self.matrix, self.dim_in, self.dim_out)
+        return _reshuffle(self.matrix, self.dim_in, self.dim_out, "choi")
 
     def is_hermitian_preserving(self) -> bool:
         """Whether the Choi matrix is Hermitian, under the relative rule states are checked with."""
@@ -65,9 +64,9 @@ def state_to_map(state: BipartiteState, direction: str = "a_to_b") -> TransferMa
     """
     da, db = state.dims
     if direction == "a_to_b":
-        return TransferMatrix(da, db, choi_to_transfer(state.matrix, da, db))
+        return TransferMatrix(da, db, _reshuffle(state.matrix, da, db, "transfer"))
     if direction == "b_to_a":
-        return TransferMatrix(db, da, choi_to_transfer(state.matrix, da, db).T)
+        return TransferMatrix(db, da, _reshuffle(state.matrix, da, db, "transfer").T)
     raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
@@ -86,7 +85,7 @@ def map_to_state(t: TransferMatrix, dims: tuple[int, int], direction: str = "a_t
         raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
     if (t.dim_in, t.dim_out) != expected:
         raise ValueError(f"transfer dims {t.dim_in} -> {t.dim_out} do not match state dims {dims}")
-    return BipartiteState(transfer_to_choi(m, da, db), da, db)
+    return BipartiteState(_reshuffle(m, da, db, "choi"), da, db)
 
 
 def _support_isometry(marginal: np.ndarray) -> np.ndarray:
@@ -142,7 +141,7 @@ def _decide_faithful(
     """The faithfulness decision, with the restricted and oriented state and the A -> B matrix it was read from."""
     restricted = restrict_support(state)
     work = orient(restricted, side)
-    matrix = choi_to_transfer(work.matrix, *work.dims)
+    matrix = _reshuffle(work.matrix, *work.dims, "transfer")
     ev = rank_evidence(matrix, tol)
     required = work.dim_a**2
     cert = FaithfulnessCertificate(

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _reshuffle, apply_on_A, apply_on_B, choi_to_transfer
+from .channels import Channel, _reshuffle, apply_on_A, apply_on_B
 from .linalg import _svd_pinv, checked_dims
 from .states import BipartiteState, _oriented_matrix, orient
 
@@ -90,7 +90,7 @@ def reconstruct_channel(
 
 def _invert_probe(probe_w: BipartiteState, side: str, tol: float) -> tuple[np.ndarray, float]:
     """Right pseudo-inverse of the oriented probe's B -> A map, and its condition number."""
-    ev, s, inverse = _svd_pinv(choi_to_transfer(probe_w.matrix, *probe_w.dims).T, tol)
+    ev, s, inverse = _svd_pinv(_reshuffle(probe_w.matrix, *probe_w.dims, "transfer").T, tol)
     required = probe_w.dim_a**2
     if ev.rank < required:
         raise NotFaithfulProbeError(
@@ -109,8 +109,8 @@ def _recover(
     output; the norms are taken per matrix.
     """
     da, db = dims
-    transfers = _reshuffle(outputs_w, (da, db, da, db)).swapaxes(1, 2) @ inverse
-    chois = _reshuffle(transfers, (da,) * 4)
+    transfers = _reshuffle(outputs_w, da, db, "transfer").swapaxes(1, 2) @ inverse
+    chois = _reshuffle(transfers, da, da, "choi")
     hermitian = (chois + chois.conj().swapaxes(1, 2)) / 2
     lowest = np.linalg.eigvalsh(hermitian)[:, 0]
     tp_gaps = np.einsum("tabcb->tac", hermitian.reshape(-1, da, da, da, da)) - np.eye(da)

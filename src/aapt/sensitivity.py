@@ -90,7 +90,6 @@ from functools import cache
 
 import numpy as np
 
-from .channels import act_on_first, kraus_to_transfer
 from .linalg import (
     AMBIGUOUS_GAP_RATIO,
     RankEvidence,
@@ -238,7 +237,7 @@ def _complete_graph(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _rotate_first(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """(U (x) 1)^dag rho (U (x) 1) for a unitary U on the first factor, by two products on its index."""
+    """(U (x) 1)^dag rho (U (x) 1) for a square U on the first factor, by two products on its index."""
     da = u.shape[0]
     left = (u.conj().T @ rho.reshape(da, -1)).reshape(rho.shape)
     return (u.T @ left.T.reshape(da, -1)).reshape(rho.shape).T
@@ -376,7 +375,7 @@ def pcq_residual(state: BipartiteState, measurement: ProjectiveMeasurement, side
     d = measurement.projectors[0].shape[0]
     if d != work.dim_a:
         raise ValueError(f"measurement acts on dimension {d}, but side {side} has dimension {work.dim_a}")
-    pinched = act_on_first(kraus_to_transfer(measurement.projectors), work.matrix, work.dims)
+    pinched = sum(_rotate_first(work.matrix, p) for p in measurement.projectors)
     return float(np.linalg.norm(pinched - work.matrix))
 
 

@@ -169,13 +169,8 @@ def unitary_faithful_state(spectrum) -> BipartiteState:
     diffs = np.abs(lam[:, None] - lam[None, :])[~np.eye(d, dtype=bool)]
     if diffs.min() <= 1e-12:
         raise ValueError("spectrum must be non-degenerate")
-    e0 = np.zeros((2, 2), dtype=complex)
-    e0[0, 0] = 1.0
-    e1 = np.zeros((2, 2), dtype=complex)
-    e1[1, 1] = 1.0
-    uniform = np.full((d, d), 1.0 / d, dtype=complex)
-    m = 0.5 * tensor(np.diag(lam).astype(complex), e0) + 0.5 * tensor(uniform, e1)
-    return BipartiteState(m, d, 2)
+    uniform = np.full((d, d), 1.0 / d)
+    return swap_sides(cq_state([0.5, 0.5], [np.diag(lam), uniform]))
 
 
 def random_cq_state(dim_a: int, dim_b: int, seed=0) -> BipartiteState:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, _eigen_terms, act_on_first, choi_to_transfer
+from .channels import Channel, _eigen_terms, _reshuffle, act_on_first
 from .duality import TransferMatrix, _decide_faithful
 from .linalg import AMBIGUOUS_GAP_RATIO, _svd_nullspace, partial_trace, vec, weight_in_span
 from .states import BipartiteState
@@ -191,7 +191,7 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     g_op = g_op / np.linalg.norm(g_op)
     alpha, c0, c1 = _channel_pair(np.kron(e_op.T, g_op), da)
     gap = c0 - c1
-    output_gap = float(np.linalg.norm(act_on_first(choi_to_transfer(gap, da, da), work.matrix, work.dims)))
+    output_gap = float(np.linalg.norm(act_on_first(_reshuffle(gap, da, da, "transfer"), work.matrix, work.dims)))
     channel_gap = float(np.linalg.norm(gap))
     if output_gap > OUTPUT_GAP_TOL:
         raise ArithmeticError(f"witness channels separate the probe outputs by {output_gap:.3e}; construction failed")

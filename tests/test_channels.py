@@ -278,13 +278,17 @@ class TestStateBasics:
         assert np.allclose(state.marginal("B"), rho_b, atol=1e-14)
 
 
+KRAUS_READERS = {"Channel.from_kraus": Channel.from_kraus, "kraus_to_choi": kraus_to_choi, "kraus_to_transfer": kraus_to_transfer}
+
+
 class TestNonFiniteChannelData:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_kraus_operators_with_non_finite_entries_are_rejected(self, bad):
+    @pytest.mark.parametrize("read_family", KRAUS_READERS.values(), ids=KRAUS_READERS)
+    def test_kraus_operators_with_non_finite_entries_are_rejected(self, read_family, bad):
         k = np.eye(2, dtype=complex)
         k[0, 1] = bad
         with pytest.raises(ValueError, match=r"^Kraus operators have non-finite entries \(NaN or inf\)$"):
-            Channel.from_kraus([k])
+            read_family([k])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_choi_and_transfer_matrices_with_non_finite_entries_are_rejected(self, bad):
@@ -324,6 +328,11 @@ class TestFromKraus:
     def test_an_empty_kraus_list_is_refused_with_a_value_error(self):
         with pytest.raises(ValueError, match="need at least one Kraus operator"):
             Channel.from_kraus([])
+
+    @pytest.mark.parametrize("read_family", KRAUS_READERS.values(), ids=KRAUS_READERS)
+    def test_operators_of_mixed_shape_are_refused_by_the_first_shape(self, read_family):
+        with pytest.raises(ValueError, match=r"^every Kraus operator must have shape \(2, 2\)$"):
+            read_family([np.eye(2), np.ones((3, 2))])
 
 
 class TestEmptyKrausFamily:

@@ -16,6 +16,8 @@ import pytest
 from aapt import (
     BipartiteState,
     Channel,
+    choi_to_kraus,
+    choi_to_transfer,
     haar_unitary,
     hermitian_basis,
     map_to_state,
@@ -29,6 +31,7 @@ from aapt import (
     random_state,
     random_unitary_mixture,
     state_to_map,
+    transfer_to_choi,
 )
 from aapt import cli
 from aapt.documents import MatrixDocument, channel_document, dumps, save, state_document
@@ -52,6 +55,10 @@ ENTRY_POINTS = {
     "TransferMatrix": ("dim_in and dim_out", lambda v: TransferMatrix(v, 2, np.eye(4))),
     "map_to_state": ("dims", lambda v: map_to_state(state_to_map(PROBE), (v, 2))),
     "Channel": ("dim_in and dim_out", lambda v: Channel.from_choi(np.eye(4), 2, v)),
+    "Channel.identity": ("d", Channel.identity),
+    "transfer_to_choi": ("dim_in and dim_out", lambda v: transfer_to_choi(np.eye(4), v, 2)),
+    "choi_to_transfer": ("dim_in and dim_out", lambda v: choi_to_transfer(np.eye(4), 2, v)),
+    "choi_to_kraus": ("dim_in and dim_out", lambda v: choi_to_kraus(np.eye(4), v, 2)),
     "random_cptp": ("d and env", lambda v: random_cptp(2, v, 1)),
     "random_unitary_mixture": ("d and k", lambda v: random_unitary_mixture(2, v, 1)),
     "MatrixDocument": ("dims", lambda v: MatrixDocument("state", (v, 2), np.eye(4) / 4)),

@@ -21,6 +21,8 @@ from aapt import (
     apply_on_B,
     certify_faithful,
     certify_sensitive,
+    choi_to_kraus,
+    choi_to_transfer,
     cq_state,
     faithfulness_witness,
     noise_stress,
@@ -29,6 +31,7 @@ from aapt import (
     random_density,
     random_state,
     reconstruct_channel,
+    transfer_to_choi,
 )
 from aapt.duality import TransferMatrix
 from aapt.states import BipartiteState
@@ -45,6 +48,9 @@ ENTRY_POINTS = {
     "Channel.from_choi": ("choi matrix", np.eye(6), lambda m: Channel.from_choi(m, 2, 3), None),
     "Channel.from_transfer": ("transfer matrix", np.ones((9, 4)), lambda m: Channel.from_transfer(m, 2, 3), None),
     "TransferMatrix": ("transfer matrix", np.ones((9, 4)), lambda m: TransferMatrix(2, 3, m), None),
+    "transfer_to_choi": ("transfer matrix", np.ones((9, 4)), lambda m: transfer_to_choi(m, 2, 3), None),
+    "choi_to_transfer": ("choi matrix", np.eye(6), lambda m: choi_to_transfer(m, 2, 3), None),
+    "choi_to_kraus": ("choi matrix", np.eye(6), lambda m: choi_to_kraus(m, 2, 3), None),
     "Channel.apply": ("operator", np.eye(2), lambda m: Channel.identity(2).apply(m), None),
     "TransferMatrix.apply": ("operator", np.eye(2), lambda m: TransferMatrix(2, 2, np.eye(4)).apply(m), None),
     "schur_channel": ("correlation matrix", np.eye(2), aapt.schur_channel, None),
@@ -102,6 +108,16 @@ def test_a_non_finite_projector_is_refused(bad):
 def test_a_flat_projector_is_refused_by_name():
     with pytest.raises(ValueError, match=r"^expected projectors to be matrices, got an array of shape \(2,\)$"):
         ProjectiveMeasurement((np.diag([1.0, 0.0]), np.ones(2)))
+
+
+def test_choi_to_kraus_gives_no_operators_for_a_nan_choi_matrix():
+    # eigh of this matrix runs, drops the NaN entry and finds three operators, unless the matrix is refused first
+    c = np.eye(4, dtype=complex)
+    c[0, 0] = np.nan
+    ops = None
+    with pytest.raises(ValueError, match=r"^choi matrix has non-finite entries \(NaN or inf\)$"):
+        ops = choi_to_kraus(c, 2, 2)
+    assert ops is None
 
 
 def test_a_one_to_one_transfer_matrix_is_writable():
@@ -191,6 +207,21 @@ def _imports_from(path: Path) -> set[str]:
 @pytest.mark.parametrize("module", ["sensitivity", "reconstruct"])
 def test_verdict_layers_do_not_import_duality(module):
     assert "duality" not in _imports_from(PACKAGE / f"{module}.py")
+
+
+def test_only_channels_imports_a_public_map_conversion():
+    # the rest of the package holds checked arrays and reshuffles them with channels._reshuffle
+    conversions = {"choi_to_kraus", "choi_to_transfer", "transfer_to_choi", "kraus_to_choi", "kraus_to_transfer"}
+    importers = [
+        f"{path.name}: {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name not in ("__init__.py", "channels.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name in conversions
+    ]
+    assert importers == []
 
 
 def test_nothing_in_the_package_calls_state_to_map():
