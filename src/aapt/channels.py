@@ -59,7 +59,7 @@ def _kraus_stack(ops, shape: tuple[int, int] | None = None) -> np.ndarray:
     The family must be nonempty, every operator must have ``shape`` (the
     first operator's shape when it is not given), and every entry finite.
     """
-    ops = [as_operator(k) for k in ops]
+    ops = [as_operator(k, "Kraus operators to be matrices") for k in ops]
     if not ops:
         raise ValueError("need at least one Kraus operator")
     shape = shape or ops[0].shape

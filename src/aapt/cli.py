@@ -55,8 +55,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Certify, witness, and reconstruct with bipartite probes for ancilla-assisted process tomography.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    rank_cut = argparse.ArgumentParser(add_help=False)  # the options of every command that cuts a rank on one side
+    rank_cut.add_argument("--side", choices=SIDES, default="A")
+    rank_cut.add_argument("--tol", type=float, default=0.0)
 
     gen = sub.add_parser("gen", help="generate a probe state document")
+    gen.set_defaults(run=_cmd_gen)
     gen.add_argument("family", choices=FAMILIES)
     gen.add_argument("--da", "--d", dest="da", type=int, help="A dimension (every family but cq; default 2)")
     gen.add_argument("--db", type=int, help="B dimension (0 = family default)")
@@ -67,34 +71,34 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, help="product, random and cq only (default 0)")
     gen.add_argument("--out", type=Path)
 
-    cert = sub.add_parser("certify", help="emit a faithfulness or sensitivity certificate")
+    cert = sub.add_parser("certify", parents=[rank_cut], help="emit a faithfulness or sensitivity certificate")
+    cert.set_defaults(run=_cmd_certify)
     cert.add_argument("state", type=Path)
     cert.add_argument("--mode", choices=("faithful", "sensitive"), required=True)
-    cert.add_argument("--side", choices=SIDES, default="A")
     cert.add_argument(
         "--class", dest="channel_class", choices=CHANNEL_CLASSES, help="sensitive mode only; default unital"
     )
-    cert.add_argument("--tol", type=float, default=0.0)
     cert.add_argument("--out", type=Path)
 
-    wit = sub.add_parser("witness", help="emit an indistinguishable channel pair for a non-faithful state")
+    wit = sub.add_parser(
+        "witness", parents=[rank_cut], help="emit an indistinguishable channel pair for a non-faithful state"
+    )
+    wit.set_defaults(run=_cmd_witness)
     wit.add_argument("state", type=Path)
-    wit.add_argument("--side", choices=SIDES, default="A")
-    wit.add_argument("--tol", type=float, default=0.0)
     wit.add_argument("--out", type=Path, nargs=2, metavar=("K0", "K1"), required=True)
 
-    rec = sub.add_parser("reconstruct", help="recover a channel from a faithful probe")
+    rec = sub.add_parser("reconstruct", parents=[rank_cut], help="recover a channel from a faithful probe")
+    rec.set_defaults(run=_cmd_reconstruct)
     rec.add_argument("probe", type=Path)
     rec.add_argument("output", type=Path, nargs="?")
     rec.add_argument("--channel", type=Path, help="ground-truth channel document; outputs are synthesized")
     rec.add_argument("--noise", type=float, help="--channel mode only; default 0")
     rec.add_argument("--trials", type=int, help="--channel mode only; default 1")
     rec.add_argument("--seed", type=int, help="--channel mode only; default 0")
-    rec.add_argument("--side", choices=SIDES, default="A")
-    rec.add_argument("--tol", type=float, default=0.0)
     rec.add_argument("--out", type=Path)
 
     dec = sub.add_parser("decompose", help="split a trace-annihilating map into a channel difference")
+    dec.set_defaults(run=_cmd_decompose)
     dec.add_argument("transfer", type=Path)
     dec.add_argument("--out", type=Path, nargs=2, metavar=("K0", "K1"), required=True)
     return parser
@@ -108,10 +112,11 @@ def _emit(doc: documents.MatrixDocument, out: Path | None) -> None:
         print(out)
 
 
-def _save_pair(paths: list[Path], k0, k1, shared: dict[str, str]) -> int:
+def _save_pair(paths: list[Path], alpha: float, k0, k1, extra: dict[str, str]) -> int:
+    """Write the CPTP pair K0, K1 of a channel difference with its weight ``alpha``."""
+    shared = {"cptp": "true", "alpha": documents.format_number(alpha), **extra}
     for path, channel, role in ((paths[0], k0, "k0"), (paths[1], k1, "k1")):
-        documents.save(documents.channel_document(channel, {**shared, "role": role}), path)
-        print(path)
+        _emit(documents.channel_document(channel, {**shared, "role": role}), path)
     return EXIT_OK
 
 
@@ -205,14 +210,9 @@ def _cmd_witness(args) -> int:
     if pair is None:
         print("state is faithful; no witness pair exists", file=sys.stderr)
         return EXIT_FALSE
-    shared = {
-        "cptp": "true",
-        "side": pair.side,
-        "alpha": documents.format_number(pair.alpha),
-        "output_gap": documents.format_number(pair.output_gap),
-        "channel_gap": documents.format_number(pair.channel_gap),
-    }
-    return _save_pair(args.out, pair.k0, pair.k1, shared)
+    fmt = documents.format_number
+    extra = {"side": pair.side, "output_gap": fmt(pair.output_gap), "channel_gap": fmt(pair.channel_gap)}
+    return _save_pair(args.out, pair.alpha, pair.k0, pair.k1, extra)
 
 
 def _cmd_reconstruct(args) -> int:
@@ -246,16 +246,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_decompose(args) -> int:
     t = documents.document_to_transfer(documents.load(args.transfer))
     alpha, k0, k1 = decompose_channel_difference(HermitianPreservingMap(t))
-    return _save_pair(args.out, k0, k1, {"cptp": "true", "alpha": documents.format_number(alpha)})
-
-
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "certify": _cmd_certify,
-    "witness": _cmd_witness,
-    "reconstruct": _cmd_reconstruct,
-    "decompose": _cmd_decompose,
-}
+    return _save_pair(args.out, alpha, k0, k1, {})
 
 
 def main(argv=None) -> int:
@@ -265,13 +256,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return _COMMANDS[args.command](args)
-    except NotFaithfulProbeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FALSE
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_FALSE if isinstance(exc, NotFaithfulProbeError) else EXIT_USAGE
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

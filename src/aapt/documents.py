@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import Channel, classify
 from .duality import FaithfulnessCertificate, TransferMatrix
-from .linalg import RankEvidence, checked_dims, read_only
+from .linalg import checked_dims, read_only
 from .reconstruct import ReconstructionReport
 from .sensitivity import SensitivityCertificate
 from .states import BipartiteState
@@ -64,15 +64,6 @@ def format_number(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError("documents store finite numbers only")
     return format(x, ".17g")
-
-
-def _cut_meta(ev: RankEvidence) -> dict[str, str]:
-    ratio = ev.gap_ratio
-    return {"tol": format_number(ev.tol), "gap_ratio": str(ratio) if math.isinf(ratio) else format_number(ratio)}
-
-
-def _cut_data(ev: RankEvidence) -> np.ndarray:
-    return np.array([ev.smallest_kept, ev.largest_dropped], dtype=complex)
 
 
 def _data_template(shape: tuple[int, ...]) -> str:
@@ -204,36 +195,38 @@ def document_to_transfer(doc: MatrixDocument) -> TransferMatrix:
     return TransferMatrix(doc.dims[0], doc.dims[1], doc.data)
 
 
+def _certificate_document(mode: str, verdict: bool, cert, dims, data, meta: dict[str, str]) -> MatrixDocument:
+    """The certificate document of ``cert``: its verdict, side and rank cut, then ``meta``; ``data`` is the cut if None."""
+    ev = cert.evidence
+    if data is None:
+        data = np.array([ev.smallest_kept, ev.largest_dropped], dtype=complex)
+    meta = {
+        "mode": mode,
+        "verdict": "true" if verdict else "false",
+        "side": cert.side,
+        "tol": format_number(ev.tol),
+        "gap_ratio": str(ev.gap_ratio) if math.isinf(ev.gap_ratio) else format_number(ev.gap_ratio),
+        **meta,
+    }
+    return MatrixDocument("certificate", dims, data, meta)
+
+
 def faithfulness_document(cert: FaithfulnessCertificate) -> MatrixDocument:
     meta = {
-        "mode": "faithful",
-        "verdict": "true" if cert.faithful else "false",
-        "side": cert.side,
         "rank": str(cert.rank),
         "required_rank": str(cert.required_rank),
-        **_cut_meta(cert.evidence),
         "restricted_dims": f"{cert.dims[0]}x{cert.dims[1]}",
         "evidence": "singular_gap",
     }
-    return MatrixDocument("certificate", cert.input_dims, _cut_data(cert.evidence), meta)
+    return _certificate_document("faithful", cert.faithful, cert, cert.input_dims, None, meta)
 
 
 def sensitivity_document(cert: SensitivityCertificate, dims: tuple[int, int]) -> MatrixDocument:
-    meta = {
-        "mode": "sensitive",
-        "verdict": "true" if cert.sensitive else "false",
-        "side": cert.side,
-        "channel_class": cert.channel_class,
-        "nullity": str(cert.nullity),
-        **_cut_meta(cert.evidence),
-    }
-    if cert.pcq_measurement is not None:
-        meta["evidence"] = "pcq_projectors"
-        data = np.stack(cert.pcq_measurement.projectors)
-    else:
-        meta["evidence"] = "slice_bound" if cert.slice_bound else "singular_gap"
-        data = _cut_data(cert.evidence)
-    return MatrixDocument("certificate", dims, data, meta)
+    pcq = cert.pcq_measurement
+    evidence = "pcq_projectors" if pcq is not None else "slice_bound" if cert.slice_bound else "singular_gap"
+    data = None if pcq is None else np.stack(pcq.projectors)
+    meta = {"channel_class": cert.channel_class, "nullity": str(cert.nullity), "evidence": evidence}
+    return _certificate_document("sensitive", cert.sensitive, cert, dims, data, meta)
 
 
 def report_document(report: ReconstructionReport, meta: dict[str, str] | None = None) -> MatrixDocument:

@@ -109,8 +109,8 @@ def max_entangled(d: int) -> BipartiteState:
 
 def product_state(rho_a, rho_b) -> BipartiteState:
     """Tensor product of two density matrices."""
-    a = as_operator(rho_a)
-    b = as_operator(rho_b)
+    a = as_operator(rho_a, "rho_a to be a matrix")
+    b = as_operator(rho_b, "rho_b to be a matrix")
     return BipartiteState(tensor(a, b), a.shape[0], b.shape[0])
 
 

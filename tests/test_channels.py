@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -333,6 +335,28 @@ class TestFromKraus:
     def test_operators_of_mixed_shape_are_refused_by_the_first_shape(self, read_family):
         with pytest.raises(ValueError, match=r"^every Kraus operator must have shape \(2, 2\)$"):
             read_family([np.eye(2), np.ones((3, 2))])
+
+    @pytest.mark.parametrize("read_family", KRAUS_READERS.values(), ids=KRAUS_READERS)
+    @pytest.mark.parametrize("ops", [[np.ones(2)], [np.eye(2), np.ones(2)], [np.ones((1, 2, 2))]], ids=["1d", "second", "3d"])
+    def test_an_operator_that_is_not_a_matrix_is_refused_by_name(self, read_family, ops):
+        shape = re.escape(str(np.shape(ops[-1])))
+        with pytest.raises(ValueError, match=rf"^expected Kraus operators to be matrices, got an array of shape {shape}$"):
+            read_family(ops)
+
+
+class TestProductStateFactors:
+    @pytest.mark.parametrize("factor", ["rho_a", "rho_b"])
+    def test_a_factor_that_is_not_a_matrix_is_refused_by_name(self, factor):
+        factors = {"rho_a": np.eye(2) / 2, "rho_b": np.eye(2) / 2, factor: np.ones(2) / 2}
+        with pytest.raises(ValueError, match=rf"^expected {factor} to be a matrix, got an array of shape \(2,\)$"):
+            product_state(**factors)
+
+
+def test_kraus_to_transfer_is_the_transfer_matrix_of_the_kraus_channel():
+    ops = [haar_unitary(3, seed=61)[:, :2] * np.sqrt(0.7), haar_unitary(3, seed=62)[:, :2] * np.sqrt(0.3)]
+    t = kraus_to_transfer(ops)
+    assert np.array_equal(t, Channel.from_kraus(ops).transfer())
+    assert np.abs(t - sum(np.kron(k.conj(), k) for k in ops)).max() <= 1e-14
 
 
 class TestEmptyKrausFamily:

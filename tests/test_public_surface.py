@@ -1,4 +1,4 @@
-"""Each public fact of the package is declared once: ``aapt.__all__`` and the CLI's side and class choices."""
+"""Each public fact of the package is declared once: ``aapt.__all__``, the CLI's options and its side and class choices."""
 
 import argparse
 import inspect
@@ -25,9 +25,34 @@ def test_star_import_binds_exactly_the_public_names():
     assert len(namespace) == 63
 
 
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    return next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def _option(command: str, flag: str) -> argparse.Action:
-    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return next(a for a in sub.choices[command]._actions if flag in a.option_strings)
+    return next(a for a in _subparsers()[command]._actions if flag in a.option_strings)
+
+
+OPTIONS = {
+    "gen": {"--da", "--d", "--db", "--rank", "--p", "--lambda", "--sigmas", "--seed", "--out"},
+    "certify": {"--side", "--tol", "--mode", "--class", "--out"},
+    "witness": {"--side", "--tol", "--out"},
+    "reconstruct": {"--side", "--tol", "--channel", "--noise", "--trials", "--seed", "--out"},
+    "decompose": {"--out"},
+}
+
+
+def test_each_command_takes_exactly_its_options():
+    read = {
+        command: {flag for action in parser._actions for flag in action.option_strings} - {"-h", "--help"}
+        for command, parser in _subparsers().items()
+    }
+    assert read == OPTIONS
+
+
+@pytest.mark.parametrize("flag", ["--side", "--tol"])
+def test_the_rank_cut_options_are_on_exactly_the_deciding_commands(flag):
+    assert {command for command, flags in OPTIONS.items() if flag in flags} == {"certify", "witness", "reconstruct"}
 
 
 @pytest.mark.parametrize("command", ["certify", "witness", "reconstruct"])
