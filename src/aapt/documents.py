@@ -102,12 +102,15 @@ def _decode_data(node) -> np.ndarray:
     sits among numbers (``[1, true]``) is folded into an integer and
     passes (a walk over every leaf would catch it, at about three times
     the cost of the decode), and an integer outside the int64 range, which
-    numpy holds as an object, is refused with the non-numbers.
+    numpy holds as an object, is refused with the non-numbers.  The JSON
+    values numpy cannot hold as an array at all, ragged nesting and nesting
+    past numpy's 64 dimensions, are refused with one fixed message rather
+    than numpy's own, whose wording varies by version.
     """
     try:
         arr = np.asarray(node)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed data array: {exc}") from None
+    except ValueError:
+        raise ValueError("malformed data array: ragged nesting, or deeper than 64 levels") from None
     if arr.dtype.kind not in "iuf":
         raise ValueError("data entries must be JSON numbers")
     if arr.ndim < 2 or arr.shape[-1] != 2:

@@ -88,8 +88,8 @@ def map_to_state(t: TransferMatrix, dims: tuple[int, int], direction: str = "a_t
     return BipartiteState(_reshuffle(m, da, db, "choi"), da, db)
 
 
-def _support_isometry(marginal: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((marginal + marginal.conj().T) / 2)
+def _support_isometry(hermitian: np.ndarray) -> np.ndarray:
+    w, v = np.linalg.eigh(hermitian)
     keep = w > SUPPORT_TOL
     # columns ordered by descending eigenvalue for a deterministic basis
     return v[:, keep][:, ::-1]
@@ -99,15 +99,22 @@ def restrict_support(state: BipartiteState) -> BipartiteState:
     """Project both sides onto the supports of their marginals.
 
     A marginal's support is spanned by its eigenvectors with eigenvalue above
-    1e-12.  States whose marginals are already full rank are returned unchanged.
-    Otherwise the state is compressed onto the support eigenbases and
-    renormalized, so the output has full-rank marginals on both sides.  The
-    compression iso^dag rho iso / Tr of a valid state is a density matrix,
-    so it is not validated again.
+    1e-12.  Both marginals are read from one reshape of the state, and the
+    eigenvalues of each one's Hermitian part (``eigvalsh``, no eigenvectors)
+    decide first: when both smallest eigenvalues are above 1e-12 the state
+    is returned unchanged and no support basis is built.  Otherwise the
+    state is compressed onto the support eigenbases and renormalized, so the
+    output has full-rank marginals on both sides.  The compression
+    iso^dag rho iso / Tr of a valid state is a density matrix, so it is not
+    validated again.
     """
-    pa = _support_isometry(state.marginal("A"))
-    pb = _support_isometry(state.marginal("B"))
-    if pa.shape[1] == state.dim_a and pb.shape[1] == state.dim_b:
+    da, db = state.dims
+    m4 = state.matrix.reshape(da, db, da, db)
+    marginals = [(m + m.conj().T) / 2 for m in (np.einsum("abcb->ac", m4), np.einsum("abad->bd", m4))]
+    if all(np.linalg.eigvalsh(m)[0] > SUPPORT_TOL for m in marginals):
+        return state
+    pa, pb = (_support_isometry(m) for m in marginals)
+    if pa.shape[1] == da and pb.shape[1] == db:  # eigh's eigenvalues may round above the cut where eigvalsh's did not
         return state
     iso = tensor(pa, pb)
     m = iso.conj().T @ state.matrix @ iso

@@ -31,6 +31,22 @@ alone, so E, G and D do not depend on which basis the null-space rule
 returns for a degenerate cokernel.  The resulting channels differ (their
 Choi matrices are far apart) yet produce identical outputs on the probe,
 which is exactly the information the probe cannot see.
+
+The witness map needs no eigendecomposition of its d^2 x d^2 Choi matrix.
+G is E minus a multiple of the identity, so one eigendecomposition
+E = A diag(lambda) A^dag diagonalizes both, with G = A diag(mu) A^dag.  The
+eigenpairs of E^T (x) G are products of theirs, so with X+ and X- the
+spectral positive and negative parts (X = X+ - X-, both PSD),
+
+    P+    = E+^T (x) G+ + E-^T (x) G-,   P- = E+^T (x) G- + E-^T (x) G+,
+    p     = Tr_out(P+)^T = t E+ + t E- = t |E|,   t = Tr G+ = Tr G-,
+    alpha = t max |lambda_i|,
+
+where Tr G+ = Tr G- because G is traceless.  p is diagonal in A with
+eigenvalues t |lambda_i|, so the slack operator is read from A as well.
+:func:`decompose_channel_difference` splits an arbitrary map and keeps the
+general route above; both routes hand (P+, P-, the eigenvalues of p in
+ascending order, its eigenvectors) to one alpha/slack step.
 """
 
 from __future__ import annotations
@@ -113,19 +129,39 @@ def conjugation_decomposition(m: HermitianPreservingMap) -> list[tuple[float, np
     return [(float(lam), v) for lam, v in zip(w, ops) if abs(lam) > cutoff]
 
 
-def _channel_pair(c: np.ndarray, d: int) -> tuple[float, np.ndarray, np.ndarray]:
-    """alpha and the Choi matrices of K0 and K1 for the trace-annihilating d -> d map with Choi matrix ``c``."""
-    h = (c + c.conj().T) / 2
-    w, q = np.linalg.eigh(h)
-    positive = (q * np.maximum(w, 0.0)) @ q.conj().T
-    v, u = np.linalg.eigh(partial_trace(positive, (d, d), "B").T)
+def _alpha_and_slack(positive, negative, v, u) -> tuple[float, np.ndarray, np.ndarray]:
+    """alpha and the Choi matrices of K0 and K1 from P+, P- and p = u diag(v) u^dag, v ascending."""
     alpha = float(v[-1])
     if alpha <= 0.0:
         raise ValueError("the zero map has no channel-difference decomposition")
     # alpha 1 - p shares p's eigenvectors, and its zero eigenvalue alpha - v[-1] is exactly 0
     slack = vec((u * np.sqrt(alpha - v)) @ u.conj().T)
     s = np.outer(slack, slack.conj())
-    return alpha, (positive + s) / alpha, (positive - h + s) / alpha
+    return alpha, (positive + s) / alpha, (negative + s) / alpha
+
+
+def _channel_pair(c: np.ndarray, d: int) -> tuple[float, np.ndarray, np.ndarray]:
+    """alpha and the Choi matrices of K0 and K1 for the trace-annihilating d -> d map with Choi matrix ``c``."""
+    h = (c + c.conj().T) / 2
+    w, q = np.linalg.eigh(h)
+    positive = (q * np.maximum(w, 0.0)) @ q.conj().T
+    return _alpha_and_slack(positive, positive - h, *np.linalg.eigh(partial_trace(positive, (d, d), "B").T))
+
+
+def _witness_pair(e_op: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """The split of D(X) = <E, X> G, G the normalized traceless part of the Hermitian E, from one eigh of E."""
+    d = e_op.shape[0]
+    lam, a = np.linalg.eigh(e_op)
+    mu = lam - lam.mean()
+    mu = mu / np.linalg.norm(mu)
+    # E+, E-, G+, G-, all diagonal in A
+    parts = (a * np.maximum(np.stack([lam, -lam, mu, -mu]), 0.0)[:, None, :]) @ a.conj().T
+    # sum over s of E_s^T[i, j] G[k, l], pairing E+, E- with G+, G- for P+ and with G-, G+ for P-, in one product
+    products = parts[:2].transpose(0, 2, 1).reshape(2, d * d).T @ parts[[2, 3, 3, 2]].reshape(2, 2 * d * d)
+    positive, negative = products.reshape(d, d, 2, d, d).transpose(2, 0, 3, 1, 4).reshape(2, d * d, d * d)
+    t = np.maximum(mu, 0.0).sum()  # Tr G+ = Tr G-, as G is traceless
+    order = np.argsort(np.abs(lam))  # p = t |E| has eigenvalues t |lambda_i| on A's columns
+    return _alpha_and_slack(positive, negative, t * np.abs(lam[order]), a[:, order])
 
 
 def decompose_channel_difference(m: HermitianPreservingMap) -> tuple[float, Channel, Channel]:
@@ -166,9 +202,10 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     Hermitian weight the PC-Q measurement also uses (see
     :func:`aapt.linalg.weight_in_span`), normalized, and G its traceless
     part, normalized; the Choi matrix E^T (x) G of D(X) = <E, X> G is split
-    into channels.  D kills the whole image, so the two channels agree on
-    the probe; their Choi matrices are E^T (x) G apart (scaled by 1/alpha),
-    which keeps the channel gap macroscopic.  Both gaps are checked on the
+    into channels in closed form, from one eigendecomposition of the
+    d x d matrix E (see the module docstring).  D kills the whole image, so
+    the two channels agree on the probe; their Choi matrices are E^T (x) G
+    apart (scaled by 1/alpha), which keeps the channel gap macroscopic.  Both gaps are checked on the
     bare Choi matrices before each is wrapped, once, in its ``Channel``.
     The state is support-restricted first, matching the certificate; the
     returned channels act on the restricted side.  A cut whose gap ratio is
@@ -185,11 +222,8 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     # null(conj M) is the complement of the image of M^T, the B -> A map; cut where the certificate cut M
     _, null = _svd_nullspace(matrix.conj(), cert.evidence.tol)
     e_op = weight_in_span(null.T.reshape(-1, da, da).transpose(0, 2, 1), da)  # each column unstacked, as unvec does
-    e_op = e_op / np.linalg.norm(e_op)
     # E is orthogonal to the marginal, which lies in the image, so ||G|| >= 1/sqrt(da + 1)
-    g_op = e_op - (np.trace(e_op) / da) * np.eye(da)
-    g_op = g_op / np.linalg.norm(g_op)
-    alpha, c0, c1 = _channel_pair(np.kron(e_op.T, g_op), da)
+    alpha, c0, c1 = _witness_pair(e_op / np.linalg.norm(e_op))
     gap = c0 - c1
     output_gap = float(np.linalg.norm(act_on_first(_reshuffle(gap, da, da, "transfer"), work.matrix, work.dims)))
     channel_gap = float(np.linalg.norm(gap))

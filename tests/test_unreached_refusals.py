@@ -145,10 +145,32 @@ def test_each_refusal_raises_its_type_and_exact_message(call, error, message):
         call()
 
 
+RAGGED_DATA = [[[1, 0]], [[1, 0], [0, 0]]]
+RAGGED_MESSAGE = "malformed data array: ragged nesting, or deeper than 64 levels"
+
+
 def test_ragged_document_data_is_refused_as_malformed():
-    # the rest of the message is numpy's own account of the ragged array, which varies across versions
-    with pytest.raises(ValueError, match="^malformed data array: "):
-        documents.loads(_document(data=[[[1, 0]], [[1, 0], [0, 0]]]))
+    with pytest.raises(ValueError, match=f"^{re.escape(RAGGED_MESSAGE)}$"):
+        documents.loads(_document(data=RAGGED_DATA))
+
+
+def _too_deep():
+    node = [1, 0]
+    for _ in range(64):
+        node = [node]
+    return node
+
+
+@pytest.mark.parametrize(
+    "data",
+    [RAGGED_DATA, [[[1, 0], [0, 0]], [[1, 0]]], [[[1, 0], [0, 0]], [1, 0]], _too_deep()],
+    ids=["short_row", "long_row", "shallow_row", "65_levels"],
+)
+def test_ragged_document_data_exits_2_from_the_cli_with_a_fixed_message(data, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "probe.json").write_text(json.dumps({"kind": "state", "dims": [2, 1], "data": data, "meta": {}}))
+    assert cli.main(["certify", "probe.json", "--mode", "faithful"]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {RAGGED_MESSAGE}\n"
 
 
 def test_channel_repr_names_its_representation_and_dimensions():
