@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, as_operator, check_tol, checked_dims, checked_matrix, haar_unitary, partial_trace, read_only, vec
+from .linalg import _rng, as_operator, check_tol, checked_choice, checked_dims, checked_matrix, haar_unitary, partial_trace, read_only, vec
 from .states import BipartiteState, swap_sides
 
 _KINDS = ("kraus", "choi", "transfer")
@@ -170,8 +170,7 @@ class Channel:
     __slots__ = ("kind", "dim_in", "dim_out", "_choi", "_kraus")
 
     def __init__(self, kind: str, data, dim_in: int, dim_out: int):
-        if kind not in _KINDS:
-            raise ValueError(f"representation must be one of {_KINDS}, got {kind!r}")
+        checked_choice(kind, _KINDS, "representation")
         dim_in, dim_out = checked_dims((dim_in, dim_out), "dim_in and dim_out")
         if kind == "kraus":
             self._kraus = tuple(_kraus_stack(data, (dim_out, dim_in)))
@@ -228,9 +227,7 @@ def convert(channel: Channel, target: str) -> Channel:
     of representations reproduces the same Choi matrix up to eigensolver
     noise (well below 1e-10 at the dimensions used here).
     """
-    if target not in _KINDS:
-        raise ValueError(f"representation must be one of {_KINDS}, got {target!r}")
-    if target == channel.kind:
+    if checked_choice(target, _KINDS, "representation") == channel.kind:
         return channel
     return Channel(target, getattr(channel, target)(), channel.dim_in, channel.dim_out)
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .channels import Channel, classify
 from .duality import FaithfulnessCertificate, TransferMatrix
-from .linalg import checked_dims, read_only
+from .linalg import checked_choice, checked_dims, read_only
 from .reconstruct import ReconstructionReport
 from .sensitivity import SensitivityCertificate
 from .states import BipartiteState
@@ -44,8 +44,7 @@ class MatrixDocument:
     meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"document kind must be one of {KINDS}, got {self.kind!r}")
+        checked_choice(self.kind, KINDS, "document kind")
         dims = checked_dims(self.dims, "dims")
         data = np.asarray(self.data, dtype=complex)
         if data.ndim < 1 or data.size == 0:

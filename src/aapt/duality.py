@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _act_on_operator, _checked_form, _reshuffle
-from .linalg import RankEvidence, checked_dims, hermitian_basis, rank_evidence, read_only, tensor, vec
+from .linalg import RankEvidence, checked_choice, checked_dims, hermitian_basis, rank_evidence, read_only, tensor, vec
 from .states import BipartiteState, _derived_state, _is_hermitian, orient
 
 DIRECTIONS = ("a_to_b", "b_to_a")
@@ -63,11 +63,9 @@ def state_to_map(state: BipartiteState, direction: str = "a_to_b") -> TransferMa
     transpose.
     """
     da, db = state.dims
-    if direction == "a_to_b":
+    if checked_choice(direction, DIRECTIONS, "direction") == "a_to_b":
         return TransferMatrix(da, db, _reshuffle(state.matrix, da, db, "transfer"))
-    if direction == "b_to_a":
-        return TransferMatrix(db, da, _reshuffle(state.matrix, da, db, "transfer").T)
-    raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    return TransferMatrix(db, da, _reshuffle(state.matrix, da, db, "transfer").T)
 
 
 def map_to_state(t: TransferMatrix, dims: tuple[int, int], direction: str = "a_to_b") -> BipartiteState:
@@ -77,12 +75,10 @@ def map_to_state(t: TransferMatrix, dims: tuple[int, int], direction: str = "a_t
     matrix, which signals that ``t`` was not induced by a state.
     """
     da, db = checked_dims(dims, "dims")
-    if direction == "a_to_b":
+    if checked_choice(direction, DIRECTIONS, "direction") == "a_to_b":
         expected, m = (da, db), t.matrix
-    elif direction == "b_to_a":
-        expected, m = (db, da), t.matrix.T
     else:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+        expected, m = (db, da), t.matrix.T
     if (t.dim_in, t.dim_out) != expected:
         raise ValueError(f"transfer dims {t.dim_in} -> {t.dim_out} do not match state dims {dims}")
     return BipartiteState(_reshuffle(m, da, db, "choi"), da, db)
@@ -91,30 +87,32 @@ def map_to_state(t: TransferMatrix, dims: tuple[int, int], direction: str = "a_t
 def _support_isometry(hermitian: np.ndarray) -> np.ndarray:
     w, v = np.linalg.eigh(hermitian)
     keep = w > SUPPORT_TOL
+    if keep.all():  # eigh's eigenvalues may round above the cut where eigvalsh's did not: full rank after all
+        return np.eye(w.size)
     # columns ordered by descending eigenvalue for a deterministic basis
     return v[:, keep][:, ::-1]
 
 
 def restrict_support(state: BipartiteState) -> BipartiteState:
-    """Project both sides onto the supports of their marginals.
+    """Project each side whose marginal is rank deficient onto that marginal's support.
 
     A marginal's support is spanned by its eigenvectors with eigenvalue above
     1e-12.  Both marginals are read from one reshape of the state, and the
     eigenvalues of each one's Hermitian part (``eigvalsh``, no eigenvectors)
-    decide first: when both smallest eigenvalues are above 1e-12 the state
-    is returned unchanged and no support basis is built.  Otherwise the
-    state is compressed onto the support eigenbases and renormalized, so the
-    output has full-rank marginals on both sides.  The compression
-    iso^dag rho iso / Tr of a valid state is a density matrix, so it is not
-    validated again.
+    decide first.  A side whose smallest eigenvalue is above 1e-12 keeps the
+    identity, so it stays in the caller's basis and no support basis is
+    built for it; when both sides do, the state is returned unchanged.  Only
+    a deficient side is compressed onto its support eigenbasis (an ``eigh``
+    whose eigenvalues all round above the cut counts as full rank too), and
+    the state is renormalized, so the output has full-rank marginals on both
+    sides.  The compression iso^dag rho iso / Tr of a valid state is a
+    density matrix, so it is not validated again.
     """
     da, db = state.dims
     m4 = state.matrix.reshape(da, db, da, db)
     marginals = [(m + m.conj().T) / 2 for m in (np.einsum("abcb->ac", m4), np.einsum("abad->bd", m4))]
-    if all(np.linalg.eigvalsh(m)[0] > SUPPORT_TOL for m in marginals):
-        return state
-    pa, pb = (_support_isometry(m) for m in marginals)
-    if pa.shape[1] == da and pb.shape[1] == db:  # eigh's eigenvalues may round above the cut where eigvalsh's did not
+    pa, pb = (np.eye(m.shape[0]) if np.linalg.eigvalsh(m)[0] > SUPPORT_TOL else _support_isometry(m) for m in marginals)
+    if pa.shape[1] == da and pb.shape[1] == db:
         return state
     iso = tensor(pa, pb)
     m = iso.conj().T @ state.matrix @ iso

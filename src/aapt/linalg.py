@@ -8,7 +8,10 @@ package checked data is passed on as bare arrays and not checked again.
 Dimensions and counts follow one rule, decided only by
 :func:`checked_dims`: each is a Python or numpy integer, not a ``bool``,
 and at least 1; anything else is refused with a ValueError naming the
-argument.
+argument.  Every enumerated argument (a side, a representation, a
+direction, a document kind, a channel class) is read by
+:func:`checked_choice`, which refuses anything outside its tuple of
+choices in one wording.
 
 Vectorization is column stacking everywhere: ``vec(M)`` concatenates the
 columns of ``M``, which gives the identity
@@ -51,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 RANK_RTOL = 1e-12
+SIDES = ("A", "B")
 WEIGHT_SEED = 20220101
 WEIGHT_PART_RTOL = 1e-8
 
@@ -93,6 +97,16 @@ def checked_dims(values, label: str) -> tuple[int, ...]:
     if len(dims) != len(values):
         raise ValueError(f"{label} must be positive integers, got {values}")
     return tuple(dims)
+
+
+def checked_choice(value, choices: tuple, label: str):
+    """``value``, which must be one of ``choices``.
+
+    The one membership rule of the package; a failure raises ValueError naming ``label``.
+    """
+    if value not in choices:
+        raise ValueError(f"{label} must be one of {choices}, got {value!r}")
+    return value
 
 
 def tensor(a, b) -> np.ndarray:
@@ -161,24 +175,16 @@ def partial_trace(m, dims: tuple[int, int], which: str = "A") -> np.ndarray:
     ``partial_trace(m, dims, "A")`` returns the operator left on B.
     """
     m4 = _split(as_operator(m), dims)
-    if which == "A":
-        return np.einsum("abad->bd", m4)
-    if which == "B":
-        return np.einsum("abcb->ac", m4)
-    raise ValueError(f"subsystem selector must be 'A' or 'B', got {which!r}")
+    which = checked_choice(which, SIDES, "subsystem selector")
+    return np.einsum("abad->bd" if which == "A" else "abcb->ac", m4)
 
 
 def partial_transpose(m, dims: tuple[int, int], which: str = "A") -> np.ndarray:
     """Transpose the indices of one tensor factor; applying it twice is a no-op."""
     m = as_operator(m)
     m4 = _split(m, dims)
-    if which == "A":
-        out = m4.transpose(2, 1, 0, 3)
-    elif which == "B":
-        out = m4.transpose(0, 3, 2, 1)
-    else:
-        raise ValueError(f"subsystem selector must be 'A' or 'B', got {which!r}")
-    return out.reshape(m.shape)
+    which = checked_choice(which, SIDES, "subsystem selector")
+    return m4.transpose((2, 1, 0, 3) if which == "A" else (0, 3, 2, 1)).reshape(m.shape)
 
 
 class RankEvidence(NamedTuple):
@@ -211,10 +217,10 @@ def default_rank_tol(shape: tuple[int, int], s_max: float) -> float:
     return max(shape) * s_max * RANK_RTOL
 
 
-def check_tol(tol: float) -> None:
-    """Refuse a negative or non-finite tolerance."""
+def check_tol(tol: float, label: str = "tolerance") -> None:
+    """Refuse a negative or non-finite tolerance, or another such setting named by ``label``."""
     if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol}")
+        raise ValueError(f"{label} must be finite and nonnegative, got {tol}")
 
 
 def _evidence(shape: tuple[int, int], s: np.ndarray, tol: float) -> RankEvidence:

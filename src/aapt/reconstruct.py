@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, _reshuffle, apply_on_A, apply_on_B
-from .linalg import _svd_pinv, checked_dims
+from .linalg import _svd_pinv, check_tol, checked_dims
 from .states import BipartiteState, _oriented_matrix, orient
 
 WEYL_ALLOWANCE = 4
@@ -171,8 +171,7 @@ def noise_stress(
     renormalized.  A 1x1 state has no traceless perturbation, so it takes
     only ``noise=0``.
     """
-    if not (np.isfinite(noise) and noise >= 0):
-        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
+    check_tol(noise, "noise")
     (trials,) = checked_dims((trials,), "trials")
     if noise > 0 and probe.matrix.shape[0] == 1:
         raise ValueError("noise must be 0 for a 1x1 state, which has no traceless perturbation")

@@ -97,6 +97,7 @@ from .linalg import (
     _svd_nullspace,
     as_operator,
     check_tol,
+    checked_choice,
     checked_matrix,
     default_rank_tol,
     fixed_weight,
@@ -402,8 +403,7 @@ def certify_sensitive(
     to make the equivalence itself testable.  A nontrivial commutant yields
     the PC-Q measurement, checked to leave the state unperturbed.
     """
-    if channel_class not in CHANNEL_CLASSES:
-        raise ValueError(f"channel class must be one of {CHANNEL_CLASSES}, got {channel_class!r}")
+    checked_choice(channel_class, CHANNEL_CLASSES, "channel class")
     work = orient(state, side)
     basis = commutant_basis(work, "A", tol)
     measurement = None

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _assembled, _rng, as_operator, checked_dims, checked_matrix, partial_trace, random_density, read_only, tensor
+from .linalg import SIDES, _assembled, _rng, as_operator, checked_choice, checked_dims, checked_matrix, partial_trace, random_density, read_only, tensor
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
-SIDES = ("A", "B")
 
 
 def _is_hermitian(m: np.ndarray) -> bool:
@@ -67,8 +66,7 @@ class BipartiteState:
 
     def marginal(self, which: str = "A") -> np.ndarray:
         """Reduced density matrix on the named subsystem."""
-        if which not in ("A", "B"):
-            raise ValueError(f"subsystem selector must be 'A' or 'B', got {which!r}")
+        which = checked_choice(which, SIDES, "subsystem selector")
         return partial_trace(self.matrix, self.dims, "B" if which == "A" else "A")
 
 
@@ -94,9 +92,7 @@ def swap_sides(state: BipartiteState) -> BipartiteState:
 
 def orient(state: BipartiteState, side: str) -> BipartiteState:
     """The state with the named side as its first factor."""
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    return state if side == "A" else swap_sides(state)
+    return state if checked_choice(side, SIDES, "side") == "A" else swap_sides(state)
 
 
 def max_entangled(d: int) -> BipartiteState:

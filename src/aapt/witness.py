@@ -208,7 +208,10 @@ def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.
     apart (scaled by 1/alpha), which keeps the channel gap macroscopic.  Both gaps are checked on the
     bare Choi matrices before each is wrapped, once, in its ``Channel``.
     The state is support-restricted first, matching the certificate; the
-    returned channels act on the restricted side.  A cut whose gap ratio is
+    returned channels act on the restricted side.  Only a side whose
+    marginal is rank deficient is compressed onto its support, so whenever
+    the measured side's marginal is full rank the channels act in the
+    caller's basis and agree on the caller's probe.  A cut whose gap ratio is
     below 10, which ``aapt certify`` calls undecided, is refused with
     ArithmeticError rather than given a pair.
     """

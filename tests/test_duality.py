@@ -152,6 +152,17 @@ class TestRestrictSupport:
         for side in ("A", "B"):
             assert np.linalg.eigvalsh(out.marginal(side))[0] > 0
 
+    @pytest.mark.parametrize("flag_both", [False, True], ids=["B_flagged", "both_flagged"])
+    def test_a_full_rank_side_is_not_rotated(self, monkeypatch, flag_both):
+        rho_a = random_density(3, 3, seed=1)
+        state = product_state(rho_a, np.diag([1.0, 0.0]))
+        if flag_both:  # eigvalsh flags A as well, and A's eigh then keeps every column: full rank after all
+            real = np.linalg.eigvalsh
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: real(m) - 1.0)
+        out = restrict_support(state)
+        assert out.dims == (3, 1)
+        assert np.allclose(out.matrix, rho_a, rtol=0, atol=1e-15)
+
     @pytest.mark.parametrize("side", ["A", "B"])
     @pytest.mark.parametrize("call", [certify_faithful, faithfulness_witness], ids=lambda f: f.__name__)
     def test_the_compressed_state_is_not_validated_again(self, monkeypatch, call, side):

@@ -2,11 +2,14 @@
 
 ``tools/line_coverage.py`` lists the statements a test run never executes;
 every row here is one refusal it listed, called in the way a user would
-reach it.
+reach it.  Every enumerated argument is refused by ``linalg.checked_choice``,
+so its wording is written in ``linalg`` alone.
 """
 
+import ast
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,12 @@ REFUSALS = {
     "states: marginal of an unknown subsystem": (
         lambda: states.max_entangled(2).marginal("C"),
         ValueError,
-        "subsystem selector must be 'A' or 'B', got 'C'",
+        "subsystem selector must be one of ('A', 'B'), got 'C'",
+    ),
+    "states: orient to an unknown side": (
+        lambda: states.orient(states.max_entangled(2), "C"),
+        ValueError,
+        "side must be one of ('A', 'B'), got 'C'",
     ),
     "states: cq_state with no probabilities": (
         lambda: states.cq_state([], []),
@@ -59,12 +67,12 @@ REFUSALS = {
     "linalg: partial_trace of an unknown subsystem": (
         lambda: linalg.partial_trace(np.eye(4), (2, 2), "C"),
         ValueError,
-        "subsystem selector must be 'A' or 'B', got 'C'",
+        "subsystem selector must be one of ('A', 'B'), got 'C'",
     ),
     "linalg: partial_transpose of an unknown subsystem": (
         lambda: linalg.partial_transpose(np.eye(4), (2, 2), "C"),
         ValueError,
-        "subsystem selector must be 'A' or 'B', got 'C'",
+        "subsystem selector must be one of ('A', 'B'), got 'C'",
     ),
     "channels: an unknown representation": (
         lambda: Channel("bogus", np.eye(4), 2, 2),
@@ -85,6 +93,11 @@ REFUSALS = {
         lambda: duality.map_to_state(duality.state_to_map(states.random_state(2, 3, seed=1)), (3, 2)),
         ValueError,
         "transfer dims 2 -> 3 do not match state dims (3, 2)",
+    ),
+    "sensitivity: certify_sensitive for an unknown channel class": (
+        lambda: sensitivity.certify_sensitive(states.max_entangled(2), "A", channel_class="bogus"),
+        ValueError,
+        "channel class must be one of ('unitary', 'unital'), got 'bogus'",
     ),
     "sensitivity: a measurement of no projectors": (
         lambda: sensitivity.ProjectiveMeasurement(()),
@@ -110,6 +123,11 @@ REFUSALS = {
         lambda: witness.mix_with_identity(Channel.from_kraus([np.ones((3, 2)) / np.sqrt(3)]), 0.5),
         ValueError,
         "only square channels can be mixed with the identity",
+    ),
+    "documents: a document of an unknown kind": (
+        lambda: documents.MatrixDocument("bogus", (1, 1), np.ones((1, 1))),
+        ValueError,
+        "document kind must be one of ('state', 'channel', 'transfer', 'certificate', 'report'), got 'bogus'",
     ),
     "documents: a document with empty data": (
         lambda: documents.MatrixDocument("state", (1, 1), np.zeros(0)),
@@ -143,6 +161,17 @@ REFUSALS = {
 def test_each_refusal_raises_its_type_and_exact_message(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_only_linalg_words_a_membership_refusal():
+    package = Path(linalg.__file__).parent
+    wording = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be one of" in node.value
+    }
+    assert wording == {"linalg.py"}
 
 
 RAGGED_DATA = [[[1, 0]], [[1, 0], [0, 0]]]

@@ -6,6 +6,7 @@ from aapt import (
     HermitianPreservingMap,
     TransferMatrix,
     apply_on_A,
+    apply_on_B,
     certify_faithful,
     classify,
     conjugation_decomposition,
@@ -20,6 +21,8 @@ from aapt import (
     restrict_support,
     unitary_faithful_state,
 )
+
+from aapt.witness import OUTPUT_GAP_TOL
 
 from helpers import random_complex
 
@@ -150,6 +153,21 @@ class TestFaithfulnessWitness:
         out0 = apply_on_B(pair.k0, state)
         out1 = apply_on_B(pair.k1, state)
         assert np.linalg.norm(out0.matrix - out1.matrix) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "state, side",
+        [
+            (product_state(random_density(3, 3, seed=1), np.diag([1.0, 0.0])), "A"),
+            (product_state(np.diag([1.0, 0.0]), random_density(3, 3, seed=1)), "B"),
+        ],
+        ids=["full_A-deficient_B", "deficient_A-full_B"],
+    )
+    def test_a_full_rank_side_gets_channels_in_the_callers_basis(self, state, side):
+        # only the deficient marginal is compressed, so the pair agrees on the probe as the caller wrote it
+        pair = faithfulness_witness(state, side)
+        apply = apply_on_A if side == "A" else apply_on_B
+        assert pair.k0.dim_in == 3
+        assert np.linalg.norm(apply(pair.k0, state).matrix - apply(pair.k1, state).matrix) <= OUTPUT_GAP_TOL
 
     def test_soundness_matches_the_rank_certificate(self, corpus):
         for name, state in corpus[:60]:
