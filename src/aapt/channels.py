@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, as_operator, check_tol, checked_choice, checked_dims, checked_matrix, haar_unitary, partial_trace, read_only, vec
+from .linalg import _rng, _trace_out, check_tol, checked_choice, checked_dims, checked_matrix, haar_unitary, read_only, vec
 from .states import BipartiteState, swap_sides
 
 _KINDS = ("kraus", "choi", "transfer")
@@ -59,15 +59,13 @@ def _kraus_stack(ops, shape: tuple[int, int] | None = None) -> np.ndarray:
     The family must be nonempty, every operator must have ``shape`` (the
     first operator's shape when it is not given), and every entry finite.
     """
-    ops = [as_operator(k, "Kraus operators to be matrices") for k in ops]
+    ops = [checked_matrix(k, None, "Kraus operator") for k in ops]
     if not ops:
         raise ValueError("need at least one Kraus operator")
     shape = shape or ops[0].shape
     if any(k.shape != shape for k in ops):
         raise ValueError(f"every Kraus operator must have shape {shape}")
     stack = np.stack(ops)
-    if not np.isfinite(stack).all():
-        raise ValueError("Kraus operators have non-finite entries (NaN or inf)")
     stack.setflags(write=False)
     return stack
 
@@ -261,8 +259,8 @@ def classify(channel: Channel, tol: float = 1e-10) -> ChannelClassReport:
     c = (c + c.conj().T) / 2
     min_eig = float(np.linalg.eigvalsh(c)[0])
     dims = (channel.dim_in, channel.dim_out)
-    tp_gap = partial_trace(c, dims, "B") - np.eye(channel.dim_in)
-    unital_gap = partial_trace(c, dims, "A") - np.eye(channel.dim_out)
+    tp_gap = _trace_out(c, dims, "B") - np.eye(channel.dim_in)
+    unital_gap = _trace_out(c, dims, "A") - np.eye(channel.dim_out)
     tp_res = float(np.linalg.norm(tp_gap, 2))
     unital_res = float(np.linalg.norm(unital_gap, 2))
     return ChannelClassReport(

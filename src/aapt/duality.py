@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import _act_on_operator, _checked_form, _reshuffle
-from .linalg import RankEvidence, checked_choice, checked_dims, hermitian_basis, rank_evidence, read_only, tensor, vec
+from .linalg import RankEvidence, _svd_rank, _trace_out, checked_choice, checked_dims, hermitian_basis, read_only, vec
 from .states import BipartiteState, _derived_state, _is_hermitian, orient
 
 DIRECTIONS = ("a_to_b", "b_to_a")
@@ -97,7 +97,7 @@ def restrict_support(state: BipartiteState) -> BipartiteState:
     """Project each side whose marginal is rank deficient onto that marginal's support.
 
     A marginal's support is spanned by its eigenvectors with eigenvalue above
-    1e-12.  Both marginals are read from one reshape of the state, and the
+    1e-12.  Both marginals are read by the package's partial trace, and the
     eigenvalues of each one's Hermitian part (``eigvalsh``, no eigenvectors)
     decide first.  A side whose smallest eigenvalue is above 1e-12 keeps the
     identity, so it stays in the caller's basis and no support basis is
@@ -109,12 +109,11 @@ def restrict_support(state: BipartiteState) -> BipartiteState:
     density matrix, so it is not validated again.
     """
     da, db = state.dims
-    m4 = state.matrix.reshape(da, db, da, db)
-    marginals = [(m + m.conj().T) / 2 for m in (np.einsum("abcb->ac", m4), np.einsum("abad->bd", m4))]
+    marginals = [(m + m.conj().T) / 2 for m in (_trace_out(state.matrix, state.dims, w) for w in "BA")]
     pa, pb = (np.eye(m.shape[0]) if np.linalg.eigvalsh(m)[0] > SUPPORT_TOL else _support_isometry(m) for m in marginals)
     if pa.shape[1] == da and pb.shape[1] == db:
         return state
-    iso = tensor(pa, pb)
+    iso = np.kron(pa, pb)
     m = iso.conj().T @ state.matrix @ iso
     m = m / np.trace(m).real
     return _derived_state(m, pa.shape[1], pb.shape[1])
@@ -147,7 +146,7 @@ def _decide_faithful(
     restricted = restrict_support(state)
     work = orient(restricted, side)
     matrix = _reshuffle(work.matrix, *work.dims, "transfer")
-    ev = rank_evidence(matrix, tol)
+    ev = _svd_rank(matrix, tol)
     required = work.dim_a**2
     cert = FaithfulnessCertificate(
         faithful=ev.rank == required,
@@ -182,4 +181,4 @@ def hermitian_restricted_rank(t: TransferMatrix) -> int:
     the full transfer matrix.
     """
     f_in, f_out = (np.stack([vec(b) for b in hermitian_basis(d)], axis=1) for d in (t.dim_in, t.dim_out))
-    return rank_evidence((f_out.conj().T @ t.matrix @ f_in).real).rank
+    return _svd_rank((f_out.conj().T @ t.matrix @ f_in).real, 0.0).rank

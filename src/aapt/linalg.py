@@ -2,16 +2,19 @@
 
 Operators are bare ``numpy.ndarray`` values with complex dtype; nothing in
 this package wraps matrices in richer classes.  A matrix a caller hands in
-is checked once, by :func:`checked_matrix` in the type that takes it (shape
-and finite entries, with a message naming what was given); inside the
-package checked data is passed on as bare arrays and not checked again.
-Dimensions and counts follow one rule, decided only by
-:func:`checked_dims`: each is a Python or numpy integer, not a ``bool``,
-and at least 1; anything else is refused with a ValueError naming the
-argument.  Every enumerated argument (a side, a representation, a
-direction, a document kind, a channel class) is read by
-:func:`checked_choice`, which refuses anything outside its tuple of
-choices in one wording.
+is checked once, by :func:`checked_matrix` in the function or type that
+takes it: a given shape, or with ``shape=None`` any 2-D shape, and finite
+entries, with a message naming what was given.  The public functions of
+this module read their matrices that way too.  Inside the package checked
+data is passed on as bare arrays and not checked again; the private
+kernels here (``_trace_out``, ``_svd_rank`` and the other ``_svd_``
+helpers) take such arrays and check nothing.  Dimensions and counts
+follow one rule, decided only by :func:`checked_dims`: each is a Python or
+numpy integer, not a ``bool``, and at least 1; anything else is refused
+with a ValueError naming the argument.  Every enumerated argument (a
+side, a representation, a direction, a document kind, a channel class) is
+read by :func:`checked_choice`, which refuses anything that is not a
+``str`` or lies outside its tuple of choices, in one wording.
 
 Vectorization is column stacking everywhere: ``vec(M)`` concatenates the
 columns of ``M``, which gives the identity
@@ -38,11 +41,12 @@ matrix the decision is about.
 
 Every SVD and QR of the package runs here; no other module decomposes a
 matrix this way.  The SVDs sit in three helpers, one LAPACK job each:
-:func:`rank_evidence` asks for singular values only, ``_svd_nullspace`` for
-the right vectors, and ``_svd_pinv`` for the thin ``u`` and ``vh``.  The
-values-only job stays apart because it takes between a third and a half
-of the time of one with vectors (a 25 x 25 complex matrix, numpy 2.4.6 on
-2 cores), and every faithfulness certificate runs it.
+``_svd_rank`` (behind :func:`rank_evidence`) asks for singular values only,
+``_svd_nullspace`` for the right vectors, and ``_svd_pinv`` for the thin
+``u`` and ``vh``.  The values-only job stays apart because it takes
+between a third and a half of the time of one with vectors (a 25 x 25
+complex matrix, numpy 2.4.6 on 2 cores), and every faithfulness
+certificate runs it.
 """
 
 from __future__ import annotations
@@ -66,22 +70,17 @@ def _rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def as_operator(m, what: str = "a matrix") -> np.ndarray:
-    """View ``m`` as a complex matrix, rejecting anything that is not 2-D with a message naming ``what``."""
-    a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"expected {what}, got an array of shape {a.shape}")
-    return a
+def checked_matrix(m, shape: tuple[int, int] | None, label: str) -> np.ndarray:
+    """View a caller's ``m`` as a complex matrix of the given shape (any 2-D shape for ``None``) with finite entries.
 
-
-def checked_matrix(m, shape: tuple[int, int], label: str) -> np.ndarray:
-    """View a caller's ``m`` as a complex matrix of the given shape with finite entries.
-
-    The one check every type runs on the matrix it takes; a failure raises
-    ValueError naming ``label``, also for input that is not 2-D.
+    The one matrix rule of the package, run once on every matrix a caller
+    hands in; a failure raises ValueError naming ``label``, also for input
+    that is not 2-D.
     """
     a = np.asarray(m, dtype=complex)
-    if a.shape != shape:
+    if shape is None and a.ndim != 2:
+        raise ValueError(f"{label} must be a matrix, got an array of shape {a.shape}")
+    if shape is not None and a.shape != shape:
         raise ValueError(f"{label} must have shape {shape}, got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"{label} has non-finite entries (NaN or inf)")
@@ -100,18 +99,20 @@ def checked_dims(values, label: str) -> tuple[int, ...]:
 
 
 def checked_choice(value, choices: tuple, label: str):
-    """``value``, which must be one of ``choices``.
+    """``value``, which must be a ``str`` and one of ``choices``.
 
     The one membership rule of the package; a failure raises ValueError naming ``label``.
+    Anything that is not a ``str`` is refused before it is compared, so an
+    array never reaches the membership test.
     """
-    if value not in choices:
+    if not isinstance(value, str) or value not in choices:
         raise ValueError(f"{label} must be one of {choices}, got {value!r}")
     return value
 
 
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with row-major composite indexing (i_a * dim_b + i_b)."""
-    return np.kron(as_operator(a), as_operator(b))
+    return np.kron(checked_matrix(a, None, "a"), checked_matrix(b, None, "b"))
 
 
 def vec(m) -> np.ndarray:
@@ -137,8 +138,9 @@ def unvec(v, shape: tuple[int, int] | None = None) -> np.ndarray:
 
 
 def hs_inner(a, b) -> complex:
-    """Hilbert-Schmidt inner product Tr[a^dag b] (conjugate-linear in ``a``)."""
-    return complex(np.vdot(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)))
+    """Hilbert-Schmidt inner product Tr[a^dag b] (conjugate-linear in ``a``) of two matrices of one shape."""
+    a = checked_matrix(a, None, "a")
+    return complex(np.vdot(a, checked_matrix(b, a.shape, "b")))
 
 
 def read_only(m: np.ndarray) -> np.ndarray:
@@ -168,20 +170,25 @@ def _split(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return m.reshape(da, db, da, db)
 
 
+def _trace_out(m: np.ndarray, dims: tuple[int, int], which: str) -> np.ndarray:
+    """The operator left when the named factor of a bare matrix on A (x) B of ``dims`` is traced out; nothing is checked."""
+    return np.einsum("abad->bd" if which == "A" else "abcb->ac", m.reshape(*dims, *dims))
+
+
 def partial_trace(m, dims: tuple[int, int], which: str = "A") -> np.ndarray:
     """Trace out one factor of a matrix acting on A (x) B.
 
     ``which`` names the subsystem that is traced out, so
     ``partial_trace(m, dims, "A")`` returns the operator left on B.
     """
-    m4 = _split(as_operator(m), dims)
-    which = checked_choice(which, SIDES, "subsystem selector")
-    return np.einsum("abad->bd" if which == "A" else "abcb->ac", m4)
+    m = checked_matrix(m, None, "m")
+    _split(m, dims)
+    return _trace_out(m, dims, checked_choice(which, SIDES, "subsystem selector"))
 
 
 def partial_transpose(m, dims: tuple[int, int], which: str = "A") -> np.ndarray:
     """Transpose the indices of one tensor factor; applying it twice is a no-op."""
-    m = as_operator(m)
+    m = checked_matrix(m, None, "m")
     m4 = _split(m, dims)
     which = checked_choice(which, SIDES, "subsystem selector")
     return m4.transpose((2, 1, 0, 3) if which == "A" else (0, 3, 2, 1)).reshape(m.shape)
@@ -232,11 +239,14 @@ def _evidence(shape: tuple[int, int], s: np.ndarray, tol: float) -> RankEvidence
     return RankEvidence(rank, smallest_kept, largest_dropped, used)
 
 
+def _svd_rank(m: np.ndarray, tol: float) -> RankEvidence:
+    """Rank evidence of a bare ``m`` from its singular values alone; nothing is checked."""
+    return _evidence(m.shape, np.linalg.svd(m, compute_uv=False), tol)
+
+
 def rank_evidence(m, tol: float = 0.0) -> RankEvidence:
     """Numerical rank of ``m`` with the singular values around the cut."""
-    m = as_operator(m)
-    s = np.linalg.svd(m, compute_uv=False)
-    return _evidence(m.shape, s, tol)
+    return _svd_rank(checked_matrix(m, None, "m"), tol)
 
 
 def _svd_nullspace(m: np.ndarray, tol: float, shape: tuple[int, int] | None = None) -> tuple[RankEvidence, np.ndarray]:
@@ -261,8 +271,7 @@ def rank_and_nullspace(m, tol: float = 0.0) -> tuple[int, np.ndarray]:
     since its null space also contains the ``cols - rows`` directions that
     the thin ``vh`` leaves out.
     """
-    m = as_operator(m)
-    ev, basis = _svd_nullspace(m, tol)
+    ev, basis = _svd_nullspace(checked_matrix(m, None, "m"), tol)
     return ev.rank, basis
 
 
@@ -278,7 +287,7 @@ def _svd_pinv(m: np.ndarray, tol: float) -> tuple[RankEvidence, np.ndarray, np.n
 
 def pseudo_inverse(m, tol: float = 0.0) -> np.ndarray:
     """Moore-Penrose inverse via SVD, using the package-wide tolerance rule."""
-    return _svd_pinv(as_operator(m), tol)[2]
+    return _svd_pinv(checked_matrix(m, None, "m"), tol)[2]
 
 
 @cache

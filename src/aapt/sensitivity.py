@@ -95,7 +95,6 @@ from .linalg import (
     RankEvidence,
     _assembled,
     _svd_nullspace,
-    as_operator,
     check_tol,
     checked_choice,
     checked_matrix,
@@ -143,10 +142,11 @@ class CommutantBasis:
 class ProjectiveMeasurement:
     """A complete family of mutually orthogonal Hermitian projectors.
 
-    A caller's projectors are checked in order, each for its dimension,
-    finite entries, Hermiticity and idempotence; then their sum for the
-    identity, and each P_i against every later P_j for orthogonality.  Every
-    check holds to 1e-10.  A certificate's measurement is not checked here:
+    A caller's projectors are each read by the package's matrix rule (2-D,
+    finite entries), then checked in order, each for its dimension,
+    Hermiticity and idempotence; then their sum for the identity, and each
+    P_i against every later P_j for orthogonality.  Every tolerance check
+    holds to 1e-10.  A certificate's measurement is not checked here:
     its projectors are the cluster blocks of one eigenbasis, so these rules
     hold to rounding, and it is checked against its state in that basis.
     :func:`pcq_residual` is the check of any measurement against any state.
@@ -155,15 +155,13 @@ class ProjectiveMeasurement:
     projectors: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(as_operator(p, "projectors to be matrices") for p in self.projectors)
+        ops = tuple(checked_matrix(p, None, "projector") for p in self.projectors)
         if not ops:
             raise ValueError("a measurement needs at least one projector")
         d = ops[0].shape[0]
         for p in ops:
             if p.shape != (d, d):
                 raise ValueError("all projectors must share one dimension")
-            if not np.isfinite(p).all():  # every tolerance comparison with NaN is False
-                raise ValueError("projectors have non-finite entries (NaN or inf)")
             if np.linalg.norm(p - p.conj().T) > PROJECTOR_TOL:
                 raise ValueError("projectors must be Hermitian")
             if np.linalg.norm(p @ p - p) > PROJECTOR_TOL:

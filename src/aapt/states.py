@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SIDES, _assembled, _rng, as_operator, checked_choice, checked_dims, checked_matrix, partial_trace, random_density, read_only, tensor
+from .linalg import SIDES, _assembled, _rng, _trace_out, checked_choice, checked_dims, checked_matrix, random_density, read_only
 
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -67,7 +67,7 @@ class BipartiteState:
     def marginal(self, which: str = "A") -> np.ndarray:
         """Reduced density matrix on the named subsystem."""
         which = checked_choice(which, SIDES, "subsystem selector")
-        return partial_trace(self.matrix, self.dims, "B" if which == "A" else "A")
+        return _trace_out(self.matrix, self.dims, "B" if which == "A" else "A")
 
 
 def _oriented_matrix(m: np.ndarray, dims: tuple[int, int], side: str) -> np.ndarray:
@@ -105,9 +105,9 @@ def max_entangled(d: int) -> BipartiteState:
 
 def product_state(rho_a, rho_b) -> BipartiteState:
     """Tensor product of two density matrices."""
-    a = as_operator(rho_a, "rho_a to be a matrix")
-    b = as_operator(rho_b, "rho_b to be a matrix")
-    return BipartiteState(tensor(a, b), a.shape[0], b.shape[0])
+    a = checked_matrix(rho_a, None, "rho_a")
+    b = checked_matrix(rho_b, None, "rho_b")
+    return BipartiteState(np.kron(a, b), a.shape[0], b.shape[0])
 
 
 def random_state(dim_a: int, dim_b: int, rank: int | None = None, seed=0) -> BipartiteState:

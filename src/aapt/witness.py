@@ -57,7 +57,7 @@ import numpy as np
 
 from .channels import Channel, _eigen_terms, _reshuffle, act_on_first
 from .duality import TransferMatrix, _decide_faithful
-from .linalg import AMBIGUOUS_GAP_RATIO, _svd_nullspace, partial_trace, vec, weight_in_span
+from .linalg import AMBIGUOUS_GAP_RATIO, _svd_nullspace, _trace_out, vec, weight_in_span
 from .states import BipartiteState
 
 TRACE_ANNIHILATION_TOL = 1e-10
@@ -145,7 +145,7 @@ def _channel_pair(c: np.ndarray, d: int) -> tuple[float, np.ndarray, np.ndarray]
     h = (c + c.conj().T) / 2
     w, q = np.linalg.eigh(h)
     positive = (q * np.maximum(w, 0.0)) @ q.conj().T
-    return _alpha_and_slack(positive, positive - h, *np.linalg.eigh(partial_trace(positive, (d, d), "B").T))
+    return _alpha_and_slack(positive, positive - h, *np.linalg.eigh(_trace_out(positive, (d, d), "B").T))
 
 
 def _witness_pair(e_op: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:

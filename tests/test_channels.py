@@ -289,7 +289,7 @@ class TestNonFiniteChannelData:
     def test_kraus_operators_with_non_finite_entries_are_rejected(self, read_family, bad):
         k = np.eye(2, dtype=complex)
         k[0, 1] = bad
-        with pytest.raises(ValueError, match=r"^Kraus operators have non-finite entries \(NaN or inf\)$"):
+        with pytest.raises(ValueError, match=r"^Kraus operator has non-finite entries \(NaN or inf\)$"):
             read_family([k])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -340,7 +340,7 @@ class TestFromKraus:
     @pytest.mark.parametrize("ops", [[np.ones(2)], [np.eye(2), np.ones(2)], [np.ones((1, 2, 2))]], ids=["1d", "second", "3d"])
     def test_an_operator_that_is_not_a_matrix_is_refused_by_name(self, read_family, ops):
         shape = re.escape(str(np.shape(ops[-1])))
-        with pytest.raises(ValueError, match=rf"^expected Kraus operators to be matrices, got an array of shape {shape}$"):
+        with pytest.raises(ValueError, match=rf"^Kraus operator must be a matrix, got an array of shape {shape}$"):
             read_family(ops)
 
 
@@ -348,7 +348,15 @@ class TestProductStateFactors:
     @pytest.mark.parametrize("factor", ["rho_a", "rho_b"])
     def test_a_factor_that_is_not_a_matrix_is_refused_by_name(self, factor):
         factors = {"rho_a": np.eye(2) / 2, "rho_b": np.eye(2) / 2, factor: np.ones(2) / 2}
-        with pytest.raises(ValueError, match=rf"^expected {factor} to be a matrix, got an array of shape \(2,\)$"):
+        with pytest.raises(ValueError, match=rf"^{factor} must be a matrix, got an array of shape \(2,\)$"):
+            product_state(**factors)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("factor", ["rho_a", "rho_b"])
+    def test_a_non_finite_factor_is_refused_by_name(self, factor, bad):
+        # refused before the Kronecker product, where inf * 0 would warn and leave NaN in the state
+        factors = {"rho_a": np.eye(2) / 2, "rho_b": np.eye(2) / 2, factor: np.diag([bad, 1.0])}
+        with pytest.raises(ValueError, match=rf"^{factor} has non-finite entries \(NaN or inf\)$"):
             product_state(**factors)
 
 

@@ -56,7 +56,7 @@ ENTRY_POINTS = {
     "schur_channel": ("correlation matrix", np.eye(2), aapt.schur_channel, None),
     "commuting_unitary": ("h", np.eye(2), lambda m: aapt.commuting_unitary(m, 1.0), None),
     "ProjectiveMeasurement": (
-        "projectors", E1, lambda m: ProjectiveMeasurement((E0, m)), r"^all projectors must share one dimension$"
+        "projector", E1, lambda m: ProjectiveMeasurement((E0, m)), r"^all projectors must share one dimension$"
     ),
 }
 
@@ -101,13 +101,57 @@ def test_a_flat_state_or_operator_names_the_matrix_it_should_be():
 
 @pytest.mark.parametrize("bad", NON_FINITE.values(), ids=NON_FINITE)
 def test_a_non_finite_projector_is_refused(bad):
-    with pytest.raises(ValueError, match=r"^projectors have non-finite entries \(NaN or inf\)$"):
+    with pytest.raises(ValueError, match=r"^projector has non-finite entries \(NaN or inf\)$"):
         ProjectiveMeasurement((np.diag([bad, 0.0]), E1))
 
 
 def test_a_flat_projector_is_refused_by_name():
-    with pytest.raises(ValueError, match=r"^expected projectors to be matrices, got an array of shape \(2,\)$"):
+    with pytest.raises(ValueError, match=r"^projector must be a matrix, got an array of shape \(2,\)$"):
         ProjectiveMeasurement((np.diag([1.0, 0.0]), np.ones(2)))
+
+
+# name: (label, a valid matrix for the slot, the public linalg call that takes it); each reads any 2-D shape
+LINALG_DOORS = {
+    "tensor_a": ("a", np.eye(2), lambda m: aapt.tensor(m, np.eye(3))),
+    "tensor_b": ("b", np.eye(3), lambda m: aapt.tensor(np.eye(2), m)),
+    "partial_trace": ("m", np.eye(4), lambda m: aapt.partial_trace(m, (2, 2), "A")),
+    "partial_transpose": ("m", np.eye(4), lambda m: aapt.partial_transpose(m, (2, 2), "B")),
+    "rank_evidence": ("m", np.ones((3, 2)), aapt.rank_evidence),
+    "rank_and_nullspace": ("m", np.diag([2.0, 1.0]), aapt.rank_and_nullspace),
+    "pseudo_inverse": ("m", np.ones((2, 3)), aapt.pseudo_inverse),
+    "hs_inner": ("a", np.ones((2, 3)), lambda m: aapt.hs_inner(m, np.ones((2, 3)))),
+}
+
+
+@pytest.mark.parametrize("kind", [*NON_FINITE, "flat"])
+@pytest.mark.parametrize("name", LINALG_DOORS)
+def test_every_linalg_door_refuses_a_bad_matrix_by_name(name, kind):
+    label, good, call = LINALG_DOORS[name]
+    call(good)  # the valid matrix passes, so the failure below is the bad entry's
+    if kind == "flat":
+        bad, message = good[0], rf"^{label} must be a matrix, got an array of shape \({good.shape[1]},\)$"
+    else:
+        bad, message = _bad(good, kind), rf"^{label} has non-finite entries \(NaN or inf\)$"
+    with pytest.raises(ValueError, match=message):
+        call(bad)
+
+
+def test_hs_inner_reads_b_at_the_shape_of_a():
+    assert aapt.hs_inner(np.ones((2, 3)), np.ones((2, 3))) == 6
+    with pytest.raises(ValueError, match=r"^b must have shape \(2, 3\), got \(3, 2\)$"):
+        aapt.hs_inner(np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(ValueError, match=r"^b has non-finite entries \(NaN or inf\)$"):
+        aapt.hs_inner(np.eye(2), np.diag([np.nan, 1.0]))
+
+
+def test_only_linalg_words_a_non_finite_refusal():
+    wording = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and "non-finite entries" in node.value
+    }
+    assert wording == {"linalg.py"}
 
 
 def test_choi_to_kraus_gives_no_operators_for_a_nan_choi_matrix():
@@ -154,6 +198,18 @@ def test_verdicts_build_no_transfer_matrix(built, probe, side):
     certify_faithful(probe, side)
     certify_sensitive(probe, side)
     assert built == []
+
+
+@pytest.mark.parametrize("side", ["A", "B"])
+@pytest.mark.parametrize("probe", PROBES.values(), ids=PROBES)
+def test_verdicts_check_no_entry_again(monkeypatch, probe, side):
+    # the state's matrix was checked when the state was built; its rank decisions read it bare
+    calls = []
+    real = np.isfinite
+    monkeypatch.setattr(np, "isfinite", lambda *args, **kwargs: calls.append(1) or real(*args, **kwargs))
+    certify_faithful(probe, side)
+    certify_sensitive(probe, side)
+    assert calls == []
 
 
 @pytest.mark.parametrize("side", ["A", "B"])

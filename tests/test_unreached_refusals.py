@@ -54,6 +54,16 @@ REFUSALS = {
         ValueError,
         "spectrum must be a vector of length at least 2",
     ),
+    "linalg: a side given as a one-element array": (
+        lambda: duality.certify_faithful(states.random_state(2, 3, seed=1), np.array(["B"])),
+        ValueError,
+        "side must be one of ('A', 'B'), got array(['B'], dtype='<U1')",
+    ),
+    "linalg: a side given as an array of both sides": (
+        lambda: duality.certify_faithful(states.random_state(2, 3, seed=1), np.array(["A", "B"])),
+        ValueError,
+        "side must be one of ('A', 'B'), got array(['A', 'B'], dtype='<U1')",
+    ),
     "linalg: unvec of a non-square length": (
         lambda: linalg.unvec(np.ones(3)),
         ValueError,
@@ -172,6 +182,10 @@ def test_only_linalg_words_a_membership_refusal():
         if isinstance(node, ast.Constant) and isinstance(node.value, str) and "must be one of" in node.value
     }
     assert wording == {"linalg.py"}
+
+
+def test_a_numpy_string_is_a_string_choice():
+    assert duality.certify_faithful(states.random_state(2, 3, seed=1), np.str_("B")).side == "B"
 
 
 RAGGED_DATA = [[[1, 0]], [[1, 0], [0, 0]]]
