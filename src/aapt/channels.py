@@ -31,13 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _rng, _trace_out, check_tol, checked_choice, checked_dims, checked_matrix, haar_unitary, read_only, vec
+from .linalg import (_rng, _trace_out, check_tol, checked_choice, checked_dims, checked_matrix, default_rank_tol,
+                     haar_unitary, read_only, vec)
 from .states import BipartiteState, swap_sides
 
 _KINDS = ("kraus", "choi", "transfer")
 
 CP_TOL = 1e-10
-KRAUS_KEEP_RTOL = 1e-12
 
 
 def _checked_form(kind: str, m, dim_in: int, dim_out: int) -> np.ndarray:
@@ -140,12 +140,11 @@ def choi_to_kraus(c, dim_in: int, dim_out: int) -> tuple[np.ndarray, ...]:
     exists.
     """
     c = _checked_form("choi", c, dim_in, dim_out)
-    n = dim_in * dim_out
     w, ops = _eigen_terms(c, dim_in, dim_out)
     scale = max(1.0, float(np.abs(w).max()))
     if w[-1] < -CP_TOL * scale:
         raise ValueError(f"Choi matrix is not positive semidefinite (min eigenvalue {w[-1]:.3e}); the map is not CP")
-    keep = KRAUS_KEEP_RTOL * n * scale
+    keep = default_rank_tol(c.shape, scale)
     kraus = tuple(math.sqrt(lam) * k for lam, k in zip(w, ops) if lam > keep)
     return kraus or (np.zeros((dim_out, dim_in), dtype=complex),)
 

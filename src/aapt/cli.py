@@ -263,7 +263,3 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

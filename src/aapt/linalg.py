@@ -39,8 +39,10 @@ matrix stands in for a larger one, such as a restriction of it, passes the
 larger shape, so the tolerance rule and the rank cut read the shape of the
 matrix the decision is about.
 
-Every SVD and QR of the package runs here; no other module decomposes a
-matrix this way.  The SVDs sit in three helpers, one LAPACK job each:
+Every SVD and QR of the package runs here but one: the two spectral norms
+``np.linalg.norm(x, 2)`` of :func:`aapt.channels.classify` are each an SVD
+inside numpy.  No other module decomposes a matrix this way.  The SVDs
+here sit in three helpers, one LAPACK job each:
 ``_svd_rank`` (behind :func:`rank_evidence`) asks for singular values only,
 ``_svd_nullspace`` for the right vectors, and ``_svd_pinv`` for the thin
 ``u`` and ``vh``.  The values-only job stays apart because it takes
@@ -171,8 +173,11 @@ def _split(m: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
 
 
 def _trace_out(m: np.ndarray, dims: tuple[int, int], which: str) -> np.ndarray:
-    """The operator left when the named factor of a bare matrix on A (x) B of ``dims`` is traced out; nothing is checked."""
-    return np.einsum("abad->bd" if which == "A" else "abcb->ac", m.reshape(*dims, *dims))
+    """The operator left when the named factor of a bare matrix on A (x) B of ``dims`` is traced out; nothing is checked.
+
+    Leading axes of ``m`` are a stack of such matrices, each traced out on its own.
+    """
+    return np.einsum("...abad->...bd" if which == "A" else "...abcb->...ac", m.reshape(*m.shape[:-2], *dims, *dims))
 
 
 def partial_trace(m, dims: tuple[int, int], which: str = "A") -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, _reshuffle, apply_on_A, apply_on_B
-from .linalg import _svd_pinv, check_tol, checked_dims
+from .linalg import _svd_pinv, _trace_out, check_tol, checked_dims
 from .states import BipartiteState, _oriented_matrix, orient
 
 WEYL_ALLOWANCE = 4
@@ -113,7 +113,7 @@ def _recover(
     chois = _reshuffle(transfers, da, da, "choi")
     hermitian = (chois + chois.conj().swapaxes(1, 2)) / 2
     lowest = np.linalg.eigvalsh(hermitian)[:, 0]
-    tp_gaps = np.einsum("tabcb->tac", hermitian.reshape(-1, da, da, da, da)) - np.eye(da)
+    tp_gaps = _trace_out(hermitian, (da, da), "B") - np.eye(da)
     return [
         ReconstructionReport(
             channel=Channel.from_transfer(t, da, da),

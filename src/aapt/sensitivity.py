@@ -95,6 +95,7 @@ from .linalg import (
     RankEvidence,
     _assembled,
     _svd_nullspace,
+    _trace_out,
     check_tol,
     checked_choice,
     checked_matrix,
@@ -294,7 +295,7 @@ def _slice_nullspace(work: BipartiteState, tol: float, shape: tuple) -> tuple[Ra
     g = min(gaps, default=math.inf) - 4 * da * EPS * max(-lam[0], lam[-1])  # less what rounding moves
     kv, pairs = _restricted_commutator(_rotate_first(rho, u), work.dims, ranges)
     # ||K||_F^2 = 2 d_A ||rho||_F^2 - 2 ||rho_B||_F^2, over at most d_A^2 - 1 nonzero singular values
-    rho_b = rho.reshape(da, db, da, db).trace(axis1=0, axis2=2)
+    rho_b = _trace_out(rho, work.dims, "A")
     sigma_lo = math.sqrt(max(2 * da * norm2 - 2 * float(np.vdot(rho_b, rho_b).real), 0.0) / (da * da - 1))
     ev, null = _svd_nullspace(kv, tol or default_rank_tol(shape, sigma_lo), shape)
     q = null.shape[1]

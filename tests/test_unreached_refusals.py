@@ -3,7 +3,10 @@
 ``tools/line_coverage.py`` lists the statements a test run never executes;
 every row here is one refusal it listed, called in the way a user would
 reach it.  Every enumerated argument is refused by ``linalg.checked_choice``,
-so its wording is written in ``linalg`` alone.
+so its wording is written in ``linalg`` alone.  The guards that no user input
+reaches (rounding guards and self-checks of a correct construction) are
+reached by calling the private function they guard, or by replacing the
+construction they check.
 """
 
 import ast
@@ -64,6 +67,11 @@ REFUSALS = {
         ValueError,
         "side must be one of ('A', 'B'), got array(['A', 'B'], dtype='<U1')",
     ),
+    "linalg: the non-scalar part of the weight in a span of the identity alone": (
+        lambda: linalg.weight_in_span(np.eye(2, dtype=complex)[None] / np.sqrt(2), 2, traceless=True),
+        ArithmeticError,
+        "the fixed weight has no non-scalar component in the span",
+    ),
     "linalg: unvec of a non-square length": (
         lambda: linalg.unvec(np.ones(3)),
         ValueError,
@@ -118,6 +126,11 @@ REFUSALS = {
         lambda: sensitivity.nonscalar_commutant_element(sensitivity.commutant_basis(states.max_entangled(2)), 2),
         ValueError,
         "the commutant is trivial; only scalars commute",
+    ),
+    "sensitivity: the spectral split of a scalar matrix": (
+        lambda: sensitivity._eigensplit(np.eye(3, dtype=complex)),
+        ArithmeticError,
+        "operator is numerically scalar; no nontrivial spectral projectors exist",
     ),
     "witness: a channel-difference split of a non-square map": (
         lambda: witness.decompose_channel_difference(HermitianPreservingMap(TransferMatrix(2, 3, np.zeros((9, 4))))),
@@ -186,6 +199,28 @@ def test_only_linalg_words_a_membership_refusal():
 
 def test_a_numpy_string_is_a_string_choice():
     assert duality.certify_faithful(states.random_state(2, 3, seed=1), np.str_("B")).side == "B"
+
+
+# (alpha, Choi of K0, Choi of K1) in place of the split of a d -> d witness map, and the self-check it fails
+BROKEN_WITNESS_PAIRS = {
+    "outputs apart": (
+        lambda d: (1.0, Channel.identity(d).choi(), np.zeros((d * d, d * d))),
+        "witness channels separate the probe outputs by 7.071e-01; construction failed",
+    ),
+    "channels equal": (
+        lambda d: (1.0, np.eye(d * d) / d, np.eye(d * d) / d),
+        "witness channels are numerically identical (Choi gap 0.000e+00)",
+    ),
+}
+
+
+@pytest.mark.parametrize("pair, message", BROKEN_WITNESS_PAIRS.values(), ids=BROKEN_WITNESS_PAIRS)
+def test_a_witness_pair_that_fails_its_self_check_is_refused(pair, message, monkeypatch):
+    # A maximally mixed qubit A with a pure B: after support restriction the probe is 2 x 1, of Frobenius norm 1/sqrt(2)
+    probe = states.product_state(np.eye(2) / 2, np.diag([1.0, 0.0]))
+    monkeypatch.setattr(witness, "_witness_pair", lambda e_op: pair(e_op.shape[0]))
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        witness.faithfulness_witness(probe, "A")
 
 
 RAGGED_DATA = [[[1, 0]], [[1, 0], [0, 0]]]
