@@ -142,11 +142,11 @@ def _cmd_gen(args) -> int:
             flag = "lambda" if dest == "spectrum" else dest
             raise ValueError(f"gen {args.family} does not read --{flag}")
     da = 2 if args.da is None else args.da
-    for flag, value, least in (("da", da, 1), ("db", args.db or 0, 0)):
+    seed = args.seed or 0
+    for flag, value, least in (("da", da, 1), ("db", args.db or 0, 0), ("seed", seed, 0)):
         if value < least:
             raise ValueError(f"gen --{flag} must be at least {least}, got {value}")
     db = args.db or da  # cq reads its own default below
-    seed = args.seed or 0
     meta = {"family": args.family, "seed": str(seed)}
     if args.family == "max-entangled":
         state = max_entangled(da)
@@ -224,6 +224,8 @@ def _cmd_reconstruct(args) -> int:
     if args.channel is not None:
         truth = documents.document_to_channel(documents.load(args.channel))
         noise, trials, seed = (d if v is None else v for v, d in ((args.noise, 0.0), (args.trials, 1), (args.seed, 0)))
+        if seed < 0:
+            raise ValueError(f"reconstruct --seed must be at least 0, got {seed}")
         reports = noise_stress(probe, truth, noise, trials, seed, args.side, args.tol)
         meta_extra = {"noise": documents.format_number(noise), "seed": str(seed)}
     elif args.output is not None:

@@ -139,25 +139,10 @@ class FaithfulnessCertificate:
     input_dims: tuple[int, int]
 
 
-def _decide_faithful(
-    state: BipartiteState, side: str, tol: float
-) -> tuple[FaithfulnessCertificate, BipartiteState, np.ndarray]:
-    """The faithfulness decision, with the restricted and oriented state and the A -> B matrix it was read from."""
-    restricted = restrict_support(state)
-    work = orient(restricted, side)
-    matrix = _reshuffle(work.matrix, *work.dims, "transfer")
-    ev = _svd_rank(matrix, tol)
-    required = work.dim_a**2
-    cert = FaithfulnessCertificate(
-        faithful=ev.rank == required,
-        side=side,
-        rank=ev.rank,
-        required_rank=required,
-        evidence=ev,
-        dims=restricted.dims,
-        input_dims=state.dims,
-    )
-    return cert, work, matrix
+def _decision_matrix(state: BipartiteState, side: str) -> tuple[BipartiteState, np.ndarray]:
+    """The support-restricted state oriented to ``side``, and the A -> B matrix faithfulness on ``side`` is read from."""
+    work = orient(restrict_support(state), side)
+    return work, _reshuffle(work.matrix, *work.dims, "transfer")
 
 
 def certify_faithful(state: BipartiteState, side: str = "A", tol: float = 0.0) -> FaithfulnessCertificate:
@@ -168,7 +153,13 @@ def certify_faithful(state: BipartiteState, side: str = "A", tol: float = 0.0) -
     is full column rank |A|^2 of the A -> B map, equivalently full row rank
     of the B -> A direction.
     """
-    return _decide_faithful(state, side, tol)[0]
+    work, matrix = _decision_matrix(state, side)
+    ev = _svd_rank(matrix, tol)
+    required = work.dim_a**2
+    dims = work.dims if side == "A" else work.dims[::-1]  # the restricted dims, in the caller's order of sides
+    return FaithfulnessCertificate(
+        faithful=ev.rank == required, side=side, rank=ev.rank, required_rank=required, evidence=ev, dims=dims, input_dims=state.dims
+    )
 
 
 def hermitian_restricted_rank(t: TransferMatrix) -> int:

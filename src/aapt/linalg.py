@@ -48,7 +48,9 @@ here sit in three helpers, one LAPACK job each:
 ``u`` and ``vh``.  The values-only job stays apart because it takes
 between a third and a half of the time of one with vectors (a 25 x 25
 complex matrix, numpy 2.4.6 on 2 cores), and every faithfulness
-certificate runs it.
+certificate runs it.  The faithfulness witness makes its decision with
+``_svd_nullspace`` alone: the rank cut, its gap ratio and the cokernel come
+from that one call, with no values-only SVD before it.
 """
 
 from __future__ import annotations

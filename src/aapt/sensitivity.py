@@ -344,7 +344,9 @@ def _eigensplit(h: np.ndarray) -> tuple[np.ndarray, list[range]]:
 
     Eigenvalues closer than 1e-8 of the spectral range share one cluster, so
     numerically degenerate spectra do not fragment; each cluster's columns
-    span one spectral projector.
+    span one spectral projector.  A range above 0 always gives at least two
+    clusters: the d - 1 neighbouring gaps sum to it, so for d - 1 < 1e8 one
+    of them exceeds 1e-8 of it, also where that cut underflows to 0.
     """
     w, v = np.linalg.eigh(h)
     spread = float(w[-1] - w[0])
@@ -410,8 +412,6 @@ def certify_sensitive(
         v, ranges = _eigensplit(_nonscalar_hermitian(basis.elements, basis.elements[0].shape[0]))
         blocks = [v[:, r.start : r.stop] for r in ranges]
         measurement = _assembled(ProjectiveMeasurement, projectors=tuple(read_only(b @ b.conj().T) for b in blocks))
-        if len(measurement) < 2:
-            raise ArithmeticError("extracted measurement is trivial despite a nontrivial commutant")
         residual = _split_residual(work, v, ranges)
         if residual > PCQ_TOL:
             raise ArithmeticError(

@@ -20,17 +20,18 @@ exactly 0 and the channels carry no sqrt(eps) rounding noise from the square
 root of a singular matrix.
 
 For a state that fails the faithfulness rank test this turns the rank
-deficiency into a concrete pair of channels, read from the same decision the
-certificate makes: the null space of the conjugate of the certificate's
-matrix, cut at the certificate's tolerance, spans the operators orthogonal
-to the image of the state's B -> A map.  E is the Hermitian projection onto
-that span of one fixed generic weight (the one the PC-Q measurement also
-uses), G the traceless part of E, and the map D(X) = <E, X> G, whose Choi
-matrix is E^T (x) G, is split.  The span is fixed by the rank decision
-alone, so E, G and D do not depend on which basis the null-space rule
-returns for a degenerate cokernel.  The resulting channels differ (their
-Choi matrices are far apart) yet produce identical outputs on the probe,
-which is exactly the information the probe cannot see.
+deficiency into a concrete pair of channels, from one SVD of the conjugate
+of the matrix the certificate reads.  Its null space spans the operators
+orthogonal to the image of the state's B -> A map, and its singular values
+give the rank cut, so the rank the witness acts on and the dimension of the
+span it uses are one decision.  E is the Hermitian projection onto that span
+of one fixed generic weight (the one the PC-Q measurement also uses), G the
+traceless part of E, and the map D(X) = <E, X> G, whose Choi matrix is
+E^T (x) G, is split.  The span is fixed by the rank decision alone, so E, G
+and D do not depend on which basis the null-space rule returns for a
+degenerate cokernel.  The resulting channels differ (their Choi matrices are
+far apart) yet produce identical outputs on the probe, which is exactly the
+information the probe cannot see.
 
 The witness map needs no eigendecomposition of its d^2 x d^2 Choi matrix.
 G is E minus a multiple of the identity, so one eigendecomposition
@@ -56,7 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, _eigen_terms, _reshuffle, act_on_first
-from .duality import TransferMatrix, _decide_faithful
+from .duality import TransferMatrix, _decision_matrix
 from .linalg import AMBIGUOUS_GAP_RATIO, _svd_nullspace, _trace_out, vec, weight_in_span
 from .states import BipartiteState
 
@@ -193,37 +194,38 @@ def mix_with_identity(channel: Channel, eps: float) -> Channel:
 def faithfulness_witness(state: BipartiteState, side: str = "A", tol: float = 0.0) -> WitnessPair | None:
     """Explicit channel pair a non-faithful probe cannot distinguish.
 
-    Returns None exactly when :func:`certify_faithful` holds on the chosen
-    side, since both read the same rank decision.  Otherwise the null space
-    of the conjugate of the matrix that decision was read from, cut by
-    :func:`aapt.linalg.rank_and_nullspace`'s rule at the certificate's own
-    tolerance, spans the operators orthogonal to the image of the probe's
-    map into that side.  E is the projection onto that span of the fixed
-    Hermitian weight the PC-Q measurement also uses (see
-    :func:`aapt.linalg.weight_in_span`), normalized, and G its traceless
-    part, normalized; the Choi matrix E^T (x) G of D(X) = <E, X> G is split
-    into channels in closed form, from one eigendecomposition of the
-    d x d matrix E (see the module docstring).  D kills the whole image, so
-    the two channels agree on the probe; their Choi matrices are E^T (x) G
-    apart (scaled by 1/alpha), which keeps the channel gap macroscopic.  Both gaps are checked on the
-    bare Choi matrices before each is wrapped, once, in its ``Channel``.
-    The state is support-restricted first, matching the certificate; the
-    returned channels act on the restricted side.  Only a side whose
-    marginal is rank deficient is compressed onto its support, so whenever
-    the measured side's marginal is full rank the channels act in the
-    caller's basis and agree on the caller's probe.  A cut whose gap ratio is
-    below 10, which ``aapt certify`` calls undecided, is refused with
-    ArithmeticError rather than given a pair.
+    The probe is support-restricted and oriented to ``side`` as
+    :func:`certify_faithful` does it, and one SVD of the conjugate of the
+    matrix the certificate reads gives the rank cut, its gap ratio and the
+    null space, by :func:`aapt.linalg.rank_and_nullspace`'s rule.  Returns
+    None when that rank is full.  The certificate cuts the same matrix by the
+    same rule from a values-only SVD, so the two verdicts can differ only
+    when a singular value lies within rounding of the cut.  The null space
+    spans the operators orthogonal to the image of the probe's map into that
+    side.  E is the projection onto that span of the fixed Hermitian weight
+    the PC-Q measurement also uses (see :func:`aapt.linalg.weight_in_span`),
+    normalized, and G its traceless part, normalized; the Choi matrix
+    E^T (x) G of D(X) = <E, X> G is split into channels in closed form, from
+    one eigendecomposition of the d x d matrix E (see the module docstring).
+    D kills the whole image, so the two channels agree on the probe; their
+    Choi matrices are E^T (x) G apart (scaled by 1/alpha), which keeps the
+    channel gap macroscopic.  Both gaps are checked on the bare Choi matrices
+    before each is wrapped, once, in its ``Channel``.  The returned channels
+    act on the restricted side.  Only a side whose marginal is rank deficient
+    is compressed onto its support, so whenever the measured side's marginal
+    is full rank the channels act in the caller's basis and agree on the
+    caller's probe.  A cut whose gap ratio is below 10, which ``aapt certify``
+    calls undecided, is refused with ArithmeticError rather than given a pair.
     """
-    cert, work, matrix = _decide_faithful(state, side, tol)
-    ratio = cert.evidence.gap_ratio  # inf for a faithful cut, which drops no singular value
+    work, matrix = _decision_matrix(state, side)
+    # null(conj M) is the complement of the image of M^T, the B -> A map; conj M has M's singular values
+    ev, null = _svd_nullspace(matrix.conj(), tol)
+    ratio = ev.gap_ratio  # inf for a faithful cut, which drops no singular value
     if ratio < AMBIGUOUS_GAP_RATIO:
         raise ArithmeticError(f"ambiguous rank decision: gap ratio {ratio:.3g} < {AMBIGUOUS_GAP_RATIO:g}")
-    if cert.faithful:
-        return None
     da = work.dim_a
-    # null(conj M) is the complement of the image of M^T, the B -> A map; cut where the certificate cut M
-    _, null = _svd_nullspace(matrix.conj(), cert.evidence.tol)
+    if ev.rank == da**2:
+        return None
     e_op = weight_in_span(null.T.reshape(-1, da, da).transpose(0, 2, 1), da)  # each column unstacked, as unvec does
     # E is orthogonal to the marginal, which lies in the image, so ||G|| >= 1/sqrt(da + 1)
     alpha, c0, c1 = _witness_pair(e_op / np.linalg.norm(e_op))

@@ -3,6 +3,7 @@
 ``reconstruct`` synthesizes outputs from ``--channel`` under ``--noise``,
 ``--trials`` and ``--seed``; with an explicit output state document none of
 them, nor ``--channel`` itself, would be read, so each is a usage error.
+A negative ``--seed`` is refused by name in ``gen`` and ``reconstruct``.
 ``gen`` takes the A dimension as ``--da`` or its alias ``--d`` in every family
 that has one.
 """
@@ -38,6 +39,23 @@ def test_reconstruct_refusal_through_the_entry_point(files):
     assert result.returncode == 2
     assert "--noise" in result.stderr
     assert result.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gen", "product", "--seed", "-1"], "gen --seed must be at least 0, got -1"),
+        (["gen", "random", "--seed", "-1"], "gen --seed must be at least 0, got -1"),
+        (["gen", "cq", "--p", "0.5,0.5", "--sigmas", "random", "--seed", "-1"], "gen --seed must be at least 0, got -1"),
+        (["reconstruct", "probe.json", "--channel", "truth.json", "--seed", "-2"], "reconstruct --seed must be at least 0, got -2"),
+    ],
+    ids=["gen_product", "gen_random", "gen_cq", "reconstruct_channel"],
+)
+def test_a_negative_seed_is_refused_by_flag(files, capsys, argv, message):
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main([*argv, "--out", str(files / "out.json")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (files / "out.json").exists()
 
 
 def test_channel_mode_defaults_match_the_explicit_values(files):

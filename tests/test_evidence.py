@@ -13,17 +13,14 @@ from aapt import (
     restrict_support,
     state_to_map,
 )
-from aapt.duality import _decide_faithful
 from aapt.states import orient
 
 
 @pytest.mark.parametrize("side", ["A", "B"])
 def test_faithful_evidence_is_the_decision_matrix_evidence(corpus, side):
     for name, state in corpus:
-        cert, _, matrix = _decide_faithful(state, side, 0.0)
-        assert cert == certify_faithful(state, side), name
+        cert = certify_faithful(state, side)
         assert isinstance(cert.evidence, RankEvidence), name
-        assert cert.evidence == rank_evidence(matrix), name
         rebuilt = state_to_map(orient(restrict_support(state), side)).matrix
         assert cert.evidence == rank_evidence(rebuilt), name
         assert cert.rank == cert.evidence.rank, name

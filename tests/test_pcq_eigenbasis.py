@@ -5,16 +5,20 @@ projectors are its cluster blocks, and the self-check reads the state in
 that basis, where pinching keeps the blocks within a cluster.  So the
 evidence forms no d_A^4-sized temporary, its residual is the one
 ``pcq_residual`` computes for the same projectors, and the check still
-refuses a measurement that moves the state.
+refuses a measurement that moves the state.  A non-scalar h always splits
+into at least two clusters, so the measurement is never trivial.
 """
 
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from aapt import (
     certify_sensitive,
+    haar_unitary,
     pcq_residual,
     product_state,
     random_cq_state,
@@ -115,3 +119,27 @@ def test_the_projectors_are_the_cluster_blocks_of_one_split(monkeypatch):
     for p, r in zip(cert.pcq_measurement.projectors, ranges, strict=True):
         block = v[:, r.start : r.stop]
         assert np.array_equal(p, block @ block.conj().T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    levels=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=8),
+    centres=st.integers(1, 3),
+    cluster_exponent=st.integers(6, 20),
+    scale_exponent=st.integers(-320, 300),
+    rotate=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+@example(levels=[0.0, 0.5, 1.0], centres=1, cluster_exponent=6, scale_exponent=-320, rotate=False, seed=0)  # 1e-8 spread is 0
+def test_a_non_scalar_operator_splits_into_at_least_two_clusters(levels, centres, cluster_exponent, scale_exponent, rotate, seed):
+    # the d - 1 neighbouring gaps sum to the spread, so one exceeds 1e-8 of it for d - 1 < 1e8, also when that cut underflows
+    x = np.array(levels)
+    w = (np.round(x * centres) / centres + 10.0**-cluster_exponent * x) * 10.0**scale_exponent  # a few tight clusters
+    d = w.size
+    u = haar_unitary(d, seed)
+    h = (u * w) @ u.conj().T if rotate else np.diag(w).astype(complex)
+    # non-scalar as _eigensplit sees it: eigh may round a spectrum within rounding of one value onto it
+    assume(np.ptp(np.linalg.eigh(h)[0]) > 0.0)
+    _, ranges = sensitivity._eigensplit(h)
+    assert len(ranges) >= 2
+    assert [i for r in ranges for i in r] == list(range(d))

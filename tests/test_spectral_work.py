@@ -5,8 +5,11 @@ support basis only for a marginal that is rank deficient, so a full-rank
 probe runs no ``eigh`` inside ``certify_faithful`` and a probe with one
 deficient marginal runs one.  The witness splits D(X) = <E, X> G from one
 eigendecomposition of the d_A x d_A matrix E, never of the d_A^2 x d_A^2
-Choi matrix E^T (x) G.  A deficient probe on either side still gets the
-support restriction, with the dims, rank and verdict pinned below.
+Choi matrix E^T (x) G, and it decomposes its decision matrix M once: one
+SVD of a wide or square M, or one QR of a tall M and one SVD of its square
+R, which give the rank cut and the cokernel together.  A deficient probe on
+either side still gets the support restriction, with the dims, rank and
+verdict pinned below.
 """
 
 import numpy as np
@@ -72,17 +75,14 @@ DEFICIENT_PROBES = {
     "embedded_A": _embedded("A"),
     "embedded_B": _embedded("B"),
 }
+WITNESS_CASES = CASES + [
+    pytest.param(DEFICIENT_PROBES[probe], side, id=f"{probe}-{side}")
+    for (probe, side), (_, _, faithful) in DEFICIENT.items()
+    if not faithful
+]
 
 
-@pytest.mark.parametrize(
-    "state, side",
-    CASES
-    + [
-        pytest.param(DEFICIENT_PROBES[probe], side, id=f"{probe}-{side}")
-        for (probe, side), (_, _, faithful) in DEFICIENT.items()
-        if not faithful
-    ],
-)
+@pytest.mark.parametrize("state, side", WITNESS_CASES)
 def test_the_witness_runs_no_eigh_larger_than_its_side(monkeypatch, state, side):
     cert = certify_faithful(state, side)
     eighs = _recording(monkeypatch, np.linalg, "eigh")
@@ -94,6 +94,29 @@ def test_the_witness_runs_no_eigh_larger_than_its_side(monkeypatch, state, side)
     else:  # the support basis of each deficient marginal, then the split
         deficient = [(d, d) for d, kept in zip(cert.input_dims, cert.dims) if kept < d]
         assert eighs == deficient + [(da, da)]
+
+
+def _decision_shape(state, side):
+    """Shape (d_B^2, d_A^2) of the A -> B matrix the faithfulness decision on ``side`` reads, after restriction."""
+    dims = certify_faithful(state, side).dims
+    da, db = dims if side == "A" else dims[::-1]
+    return db * db, da * da
+
+
+def test_the_witness_cases_hold_wide_square_and_tall_decision_matrices():
+    shapes = [_decision_shape(*case.values) for case in WITNESS_CASES]
+    assert {(rows > cols) - (rows < cols) for rows, cols in shapes} == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("state, side", WITNESS_CASES)
+def test_the_witness_decomposes_its_decision_matrix_once(monkeypatch, state, side):
+    rows, cols = _decision_shape(state, side)
+    svds, qrs = (_recording(monkeypatch, np.linalg, name) for name in ("svd", "qr"))
+    assert faithfulness_witness(state, side) is not None
+    if rows > cols:  # the R-only QR of the tall M, then the SVD of its square R
+        assert (qrs, svds) == ([(rows, cols)], [(cols, cols)])
+    else:
+        assert (qrs, svds) == ([], [(rows, cols)])
 
 
 @pytest.mark.parametrize("probe, side", list(DEFICIENT), ids=[f"{p}-{s}" for p, s in DEFICIENT])

@@ -175,6 +175,12 @@ class TestFaithfulnessWitness:
             pair = faithfulness_witness(state)
             assert (pair is None) == cert.faithful, name
 
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_the_witness_decides_as_the_certificate_on_every_probe_and_side(self, corpus, side):
+        # the witness cuts its own null-space SVD, the certificate a values-only one, of one matrix by one rule
+        for name, state in corpus:
+            assert (faithfulness_witness(state, side) is None) == certify_faithful(state, side).faithful, name
+
     def test_identity_mixing_keeps_the_outputs_equal(self):
         state = product_state(random_density(2, 2, seed=99), random_density(2, 2, seed=100))
         pair = faithfulness_witness(state)

@@ -1,10 +1,10 @@
 """The witness reads its cokernel through the package's one null-space rule.
 
 Every SVD and QR of the package runs in ``linalg``.  The witness asks
-``_svd_nullspace`` for the null space of conj(M), cut at the certificate's
-own tolerance, where M is the A -> B matrix the faithfulness decision read.
-That span is the one the rows of ``vh`` past the rank give in the full SVD
-of M, and reading it forms no ``u`` of M's row count.
+``_svd_nullspace`` for the null space of conj(M), cut by the same call's
+own singular values, where M is the A -> B matrix the faithfulness decision
+read.  That span is the one the rows of ``vh`` past the rank give in the
+full SVD of M, and reading it forms no ``u`` of M's row count.
 """
 
 import ast
