@@ -20,8 +20,10 @@ This module alone knows what a valid map matrix is.  A caller's Choi or
 transfer matrix enters through ``_checked_form``, which holds each form's
 shape, and a Kraus family through ``_kraus_stack``; ``_reshuffle`` is the
 one layout of the Choi <-> transfer permutation.  The public conversions
-and the constructors check their input that way, while code inside the
-package already holds checked arrays and calls ``_reshuffle`` directly.
+and the :class:`Channel` constructor check their input that way, and so
+does every :class:`aapt.duality.TransferMatrix`, which is a ``Channel``
+built from the transfer form; code inside the package already holds
+checked arrays and calls ``_reshuffle`` directly.
 """
 
 from __future__ import annotations
@@ -115,11 +117,6 @@ def act_on_first(t: np.ndarray, m: np.ndarray, dims: tuple[int, int]) -> np.ndar
     return _reshuffle((t @ _reshuffle(m, *dims, "transfer").T).T, math.isqrt(t.shape[0]), dims[1], "choi")
 
 
-def _act_on_operator(t: np.ndarray, m, dim_in: int) -> np.ndarray:
-    """Act with the transfer matrix ``t`` on one caller's ``dim_in x dim_in`` operator."""
-    return act_on_first(t, checked_matrix(m, (dim_in, dim_in), "operator"), (dim_in, 1))
-
-
 def _eigen_terms(c: np.ndarray, dim_in: int, dim_out: int) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of the Hermitian part of a Choi matrix, largest first.
 
@@ -149,6 +146,7 @@ def choi_to_kraus(c, dim_in: int, dim_out: int) -> tuple[np.ndarray, ...]:
     return kraus or (np.zeros((dim_out, dim_in), dtype=complex),)
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class Channel:
     """A linear map between operator spaces, stored as one read-only Choi matrix.
 
@@ -162,42 +160,50 @@ class Channel:
     channel was built from.  ``choi()`` is a copy, ``transfer()`` one
     reshuffle, and ``kraus()`` of a channel built from another form runs an
     eigendecomposition on every call; nothing else is cached.
+
+    A channel is frozen like the package's other value types: every
+    assignment raises, and equality is identity.  The ``from_*`` and
+    ``identity`` constructors build a ``Channel`` whatever class they are
+    called on, so a subclass with its own constructor (such as
+    :class:`aapt.duality.TransferMatrix`) never receives their arguments.
     """
 
-    __slots__ = ("kind", "dim_in", "dim_out", "_choi", "_kraus")
+    kind: str
+    dim_in: int
+    dim_out: int
+    _choi: np.ndarray
+    _kraus: tuple[np.ndarray, ...] | None
 
     def __init__(self, kind: str, data, dim_in: int, dim_out: int):
         checked_choice(kind, _KINDS, "representation")
         dim_in, dim_out = checked_dims((dim_in, dim_out), "dim_in and dim_out")
         if kind == "kraus":
-            self._kraus = tuple(_kraus_stack(data, (dim_out, dim_in)))
-            choi = kraus_to_choi(self._kraus)
+            kraus = tuple(_kraus_stack(data, (dim_out, dim_in)))
+            choi = kraus_to_choi(kraus)
         else:
             m = _checked_form(kind, data, dim_in, dim_out)
-            self._kraus = None
+            kraus = None
             choi = m if kind == "choi" else _reshuffle(m, dim_in, dim_out, "choi")
-        self.kind = kind
-        self.dim_in = dim_in
-        self.dim_out = dim_out
-        self._choi = read_only(choi)
+        # the fields are set once, in one step past the frozen __setattr__; copy and pickle restore them the same way
+        self.__dict__.update(kind=kind, dim_in=dim_in, dim_out=dim_out, _choi=read_only(choi), _kraus=kraus)
 
     @classmethod
     def from_kraus(cls, ops) -> "Channel":
         stack = _kraus_stack(ops)
-        return cls("kraus", stack, stack.shape[2], stack.shape[1])
+        return Channel("kraus", stack, stack.shape[2], stack.shape[1])
 
     @classmethod
     def from_choi(cls, choi, dim_in: int, dim_out: int) -> "Channel":
-        return cls("choi", choi, dim_in, dim_out)
+        return Channel("choi", choi, dim_in, dim_out)
 
     @classmethod
     def from_transfer(cls, t, dim_in: int, dim_out: int) -> "Channel":
-        return cls("transfer", t, dim_in, dim_out)
+        return Channel("transfer", t, dim_in, dim_out)
 
     @classmethod
     def identity(cls, d: int) -> "Channel":
         (d,) = checked_dims((d,), "d")
-        return cls.from_kraus([np.eye(d, dtype=complex)])
+        return Channel.from_kraus([np.eye(d, dtype=complex)])
 
     def kraus(self) -> tuple[np.ndarray, ...]:
         return self._kraus or choi_to_kraus(self._choi, self.dim_in, self.dim_out)
@@ -210,11 +216,11 @@ class Channel:
         return _reshuffle(self.choi(), self.dim_in, self.dim_out, "transfer")
 
     def apply(self, m) -> np.ndarray:
-        """Act on a single-system operator, through the transfer matrix."""
-        return _act_on_operator(self.transfer(), m, self.dim_in)
+        """Act on a caller's single-system operator, through the transfer matrix."""
+        return act_on_first(self.transfer(), checked_matrix(m, (self.dim_in, self.dim_in), "operator"), (self.dim_in, 1))
 
     def __repr__(self) -> str:
-        return f"Channel(kind={self.kind!r}, dim_in={self.dim_in}, dim_out={self.dim_out})"
+        return f"{type(self).__name__}(kind={self.kind!r}, dim_in={self.dim_in}, dim_out={self.dim_out})"
 
 
 def convert(channel: Channel, target: str) -> Channel:

@@ -143,7 +143,7 @@ def _cmd_gen(args) -> int:
             raise ValueError(f"gen {args.family} does not read --{flag}")
     da = 2 if args.da is None else args.da
     seed = args.seed or 0
-    for flag, value, least in (("da", da, 1), ("db", args.db or 0, 0), ("seed", seed, 0)):
+    for flag, value, least in (("da", da, 1), ("db", args.db or 0, 0), ("rank", args.rank or 0, 0), ("seed", seed, 0)):
         if value < least:
             raise ValueError(f"gen --{flag} must be at least {least}, got {value}")
     db = args.db or da  # cq reads its own default below

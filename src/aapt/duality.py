@@ -15,6 +15,10 @@ A state can identify an arbitrary unknown channel acting on A precisely when
 its A -> B map is injective, i.e. the transfer matrix has full column rank
 |A|^2.  ``certify_faithful`` decides that rank question numerically and keeps
 the singular values around the cut as evidence.
+
+``state_to_map`` hands a map back as a :class:`TransferMatrix`, which is a
+:class:`aapt.channels.Channel` read in transfer form, so one type holds a
+channel and the map a state induces alike.
 """
 
 from __future__ import annotations
@@ -23,36 +27,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _act_on_operator, _checked_form, _reshuffle
-from .linalg import RankEvidence, _svd_rank, _trace_out, checked_choice, checked_dims, hermitian_basis, read_only, vec
+from .channels import Channel, _reshuffle
+from .linalg import RankEvidence, _svd_rank, _trace_out, checked_choice, checked_dims, hermitian_basis, vec
 from .states import BipartiteState, _derived_state, _is_hermitian, orient
 
 DIRECTIONS = ("a_to_b", "b_to_a")
 SUPPORT_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Matrix of a linear map on operator space, in column-stacking convention."""
+@dataclass(frozen=True, eq=False, init=False, repr=False)
+class TransferMatrix(Channel):
+    """A linear map on operator space given by its matrix, in column-stacking convention.
 
-    dim_in: int
-    dim_out: int
-    matrix: np.ndarray
+    It is a :class:`aapt.channels.Channel` read in transfer form: the
+    constructor is ``Channel("transfer", matrix, dim_in, dim_out)``, so the
+    matrix passes the one check of that form and the map is stored as its
+    read-only Choi matrix.  ``matrix`` is ``transfer()``, a fresh reshuffle
+    of that Choi matrix on every read.  Like every channel it is frozen.
+    """
 
-    def __post_init__(self):
-        m = _checked_form("transfer", self.matrix, self.dim_in, self.dim_out)
-        object.__setattr__(self, "matrix", read_only(m))
+    def __init__(self, dim_in: int, dim_out: int, matrix):
+        Channel.__init__(self, "transfer", matrix, dim_in, dim_out)
 
-    def apply(self, m) -> np.ndarray:
-        """Act on a single operator."""
-        return _act_on_operator(self.matrix, m, self.dim_in)
-
-    def choi(self) -> np.ndarray:
-        return _reshuffle(self.matrix, self.dim_in, self.dim_out, "choi")
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.transfer()
 
     def is_hermitian_preserving(self) -> bool:
         """Whether the Choi matrix is Hermitian, under the relative rule states are checked with."""
-        return _is_hermitian(self.choi())
+        return _is_hermitian(self._choi)
 
 
 def state_to_map(state: BipartiteState, direction: str = "a_to_b") -> TransferMatrix:

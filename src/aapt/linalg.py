@@ -67,11 +67,19 @@ WEIGHT_SEED = 20220101
 WEIGHT_PART_RTOL = 1e-8
 
 
+def checked_seed(seed) -> int:
+    """The caller's ``seed`` as a Python int; it must be an integer (not a bool) of at least 0.
+
+    The one seed rule of the package; a failure raises ValueError naming the seed.
+    """
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
 def _rng(seed) -> np.random.Generator:
-    """Coerce an integer seed (or an existing Generator) into a Generator."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
+    """An existing Generator as it is, or a new one from a seed that passes :func:`checked_seed`."""
+    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(checked_seed(seed))
 
 
 def checked_matrix(m, shape: tuple[int, int] | None, label: str) -> np.ndarray:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Channel, _reshuffle, apply_on_A, apply_on_B
-from .linalg import _svd_pinv, _trace_out, check_tol, checked_dims
+from .linalg import _svd_pinv, _trace_out, check_tol, checked_dims, checked_seed
 from .states import BipartiteState, _oriented_matrix, orient
 
 WEYL_ALLOWANCE = 4
@@ -161,8 +161,9 @@ def noise_stress(
 
     Each trial perturbs the true output by a random traceless Hermitian
     matrix of Frobenius norm ``noise`` and reconstructs; ``noise=0`` reduces
-    to the exact setting.  Trials use seeds spawned per index, so the report
-    list is deterministic.  The trials run as one stack: the probe is
+    to the exact setting.  Trials use seeds spawned per index from ``seed``,
+    which follows :func:`aapt.linalg.checked_seed`, so the report list is
+    deterministic.  The trials run as one stack: the probe is
     inverted, ``truth`` converted to its Choi matrix and the true output's
     smallest eigenvalue read once for all of them.  A perturbed output is
     re-projected to a valid state (eigenvalues clamped at 0, unit trace)
@@ -178,7 +179,7 @@ def noise_stress(
     probe_w = orient(probe, side)
     base = apply_on_A(truth, probe) if side == "A" else apply_on_B(truth, probe)
     inverse, condition = _invert_probe(probe_w, side, tol)
-    seeds = np.random.SeedSequence(seed).spawn(trials)
+    seeds = np.random.SeedSequence(checked_seed(seed)).spawn(trials)
     m = base.matrix
     outputs = np.broadcast_to(m, (trials, *m.shape)) if noise == 0 else _perturb(m, noise, seeds)
     return _recover(_oriented_matrix(outputs, base.dims, side), probe_w.dims, inverse, condition, truth.choi())

@@ -92,10 +92,10 @@ class HermitianPreservingMap:
 
 
 def _check_trace_annihilating(m: HermitianPreservingMap) -> None:
-    t = m.transfer
+    t = m.transfer.matrix  # one reshuffle of the stored Choi matrix, read twice below
     # the adjoint map applied to the identity, sum_i lambda_i V_i^dag V_i, as T^dag vec(1)
-    residual = np.linalg.norm(t.matrix.conj().T @ vec(np.eye(t.dim_out, dtype=complex)))
-    if residual > TRACE_ANNIHILATION_TOL * max(1.0, float(np.linalg.norm(t.matrix))):
+    residual = np.linalg.norm(t.conj().T @ vec(np.eye(m.transfer.dim_out, dtype=complex)))
+    if residual > TRACE_ANNIHILATION_TOL * max(1.0, float(np.linalg.norm(t))):
         raise ValueError(f"map does not annihilate the trace (adjoint identity residual {residual:.3e})")
 
 

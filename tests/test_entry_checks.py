@@ -175,13 +175,13 @@ def test_a_one_to_one_transfer_matrix_is_writable():
 def built(monkeypatch):
     """The TransferMatrix instances constructed while the test runs."""
     calls = []
-    original = TransferMatrix.__post_init__
+    original = TransferMatrix.__init__
 
-    def counting(self):
+    def counting(self, *args):
         calls.append(self)
-        original(self)
+        original(self, *args)
 
-    monkeypatch.setattr(TransferMatrix, "__post_init__", counting)
+    monkeypatch.setattr(TransferMatrix, "__init__", counting)
     return calls
 
 

@@ -68,8 +68,9 @@ def test_families_without_a_seed_still_record_seed_zero(tmp_path, family):
         (["random", "--da", "0"], "gen --da must be at least 1, got 0"),
         (["product", "--da", "2", "--db", "-1"], "gen --db must be at least 0, got -1"),
         (["cq", "--p", "0.5,0.5", "--db", "-1"], "gen --db must be at least 0, got -1"),
+        (["random", "--rank", "-1"], "gen --rank must be at least 0, got -1"),
     ],
-    ids=["random_da_0", "product_db_-1", "cq_db_-1"],
+    ids=["random_da_0", "product_db_-1", "cq_db_-1", "random_rank_-1"],
 )
 def test_gen_refuses_a_dimension_below_its_least_value_by_flag(tmp_path, capsys, argv, message):
     out = tmp_path / "s.json"
@@ -82,3 +83,8 @@ def test_gen_refuses_a_dimension_below_its_least_value_by_flag(tmp_path, capsys,
 def test_gen_db_zero_still_means_the_family_default(tmp_path, family, dims):
     assert cli.main([*_base(family), "--db", "0", "--out", str(tmp_path / "s.json")]) == cli.EXIT_OK
     assert tuple(load(tmp_path / "s.json").dims) == dims
+
+
+def test_gen_rank_zero_still_means_full_rank(tmp_path):
+    assert cli.main(["gen", "random", "--rank", "0", "--out", str(tmp_path / "s.json")]) == cli.EXIT_OK
+    assert load(tmp_path / "s.json").meta["rank"] == "4"
